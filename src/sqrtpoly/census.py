@@ -309,16 +309,19 @@ def _check_family_divisor(ctx: FieldCtx, d: int):
         raise InvalidDivisor(f"r/d = {ctx.r // d} must be odd")
 
 
-def family_census(ctx: FieldCtx, d: int, chunk: int = 1 << 16) -> DegreeHistogram:
+def family_census(ctx: FieldCtx, d: int, chunk: int = 1 << 16,
+                  max_r: int | None = None) -> DegreeHistogram:
     """Degree histogram over the 2^d block-sign choices of the order-d family.
 
     Orthogonality puts all nonzero coefficients in one residue class mod
     D, so only d coefficients c_{k_t} need computing, and
-    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).
+    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  d is capped like r in
+    full_census: max_r, else SQRTPOLY_CAP_R, else DEFAULT_CENSUS_CAP.
     """
     _check_family_divisor(ctx, d)
-    if d > DEFAULT_CENSUS_CAP:
-        raise TooLarge(f"d = {d} exceeds cap {DEFAULT_CENSUS_CAP}")
+    cap = census_cap(max_r)
+    if d > cap:
+        raise TooLarge(f"d = {d} exceeds cap {cap}")
     p = ctx.p
     k_ts = family_admissible_degrees(ctx, d)  # descending
     ys = np.arange(d, dtype=np.int64)

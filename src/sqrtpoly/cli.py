@@ -158,8 +158,7 @@ def cmd_heuristic(args):
 def cmd_minimal(args):
     ctx = make_field_ctx(args.p)
     keep = None if args.keep == 0 else args.keep
-    report = search.minimal_search(ctx, threads=args.threads,
-                                   keep_representatives=keep)
+    report = search.minimal_search(ctx, keep_representatives=keep)
     payload = report.to_json()
     if args.dump_tree and report.representatives:
         tree = search.decompose_tree(ctx, report.representatives[0])

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _kernels, _modmat, poly
 from .errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly, NotCoprime,
-                     PeriodDoesNotDivide, TooLarge, UnresolvedHalfRoot)
+                     PeriodDoesNotDivide, RangeOutOfBounds, TooLarge,
+                     UnresolvedHalfRoot)
 from .field import FieldCtx, legendre, root_of_unity
 from .poly import Poly
 from .signs import SignVector
@@ -165,7 +166,7 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
     else:
         idx, nshards = shard
         if not (0 <= idx < nshards):
-            raise TooLarge(f"bad shard {shard}")
+            raise RangeOutOfBounds(f"shard {idx}/{nshards}: need 0 <= i < N")
         lo = total * idx // nshards
         hi = total * (idx + 1) // nshards
     if lo >= hi:

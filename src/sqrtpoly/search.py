@@ -18,7 +18,7 @@ from . import poly
 from .errors import (CancellationImpossible, LevelOutOfRange, TooLarge,
                      WrongResidue)
 from .field import FieldCtx, root_of_unity
-from .poly import Poly, glue_pair, is_sqrt_poly, monomial
+from .poly import Poly, is_sqrt_poly, monomial
 from .ts import shift_family
 
 SEARCH_CAP = 26  # max (p-1)/4
@@ -56,7 +56,7 @@ class SearchReport:
 
 
 def _storage_dtype(p: int):
-    return np.uint8 if p < 256 else np.int32
+    return np.uint8 if p < 256 else np.uint32
 
 
 def _base_members(ctx: FieldCtx) -> np.ndarray:
@@ -87,7 +87,11 @@ def _shift_members(ctx: FieldCtx, members: np.ndarray, i: int) -> np.ndarray:
     p = ctx.p
     js = np.arange(members.shape[1], dtype=np.int64)
     scales = ctx.gamma_powers[(i - 2 * i * js) % (p - 1)]
-    return (members.astype(np.int64) * scales % p).astype(members.dtype)
+    out = np.empty_like(members)
+    step = max(1, (1 << 20) // members.shape[1])  # rows per int64 chunk
+    for r0 in range(0, len(members), step):
+        out[r0:r0 + step] = members[r0:r0 + step].astype(np.int64) * scales % p
+    return out
 
 
 def _glue_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, k: int,
@@ -149,21 +153,77 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     return LevelFamily(level=k, block=i, modulus=m, members=members)
 
 
-def _sorted_merge(a: np.ndarray, b: np.ndarray):
+def _packed_keys(rows: np.ndarray, p: int) -> list[np.ndarray]:
+    """The rows packed into uint64 sort keys, top coefficient first.
+
+    Each key holds 64 // bits coefficients of bits = (p-1).bit_length()
+    bits, a higher column in higher bits, so comparing the keys in turn
+    compares the rows column by column from the top.
+    """
+    bits = (p - 1).bit_length()
+    per = 64 // bits
+    keys = []
+    for hi in range(rows.shape[1], 0, -per):
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for j in range(hi - 1, max(hi - per, 0) - 1, -1):
+            key <<= np.uint64(bits)
+            key |= rows[:, j]
+        keys.append(key)
+    return keys
+
+
+def _sorted_merge(a: np.ndarray, b: np.ndarray, p: int):
     """Sort the union of two member matrices highest coefficient first.
 
-    Returns (rows, src, order_in_own_family) in sorted order.
+    Returns (rows, src, nbytes): the rows in sorted order, the family of
+    each (0 for a, 1 for b) and the bytes of the arrays built on the way.
+    Equal rows keep a before b and their own order, as in a stable sort.
+    The first key alone seldom ties, so rows are sorted on it, and only
+    rows that tie on it are sorted again on all keys and their index.
     """
-    m = a.shape[1]
-    rows = np.vstack([a, b]).astype(np.int64)
-    src = np.concatenate([np.zeros(len(a), dtype=np.int8),
-                          np.ones(len(b), dtype=np.int8)])
-    own = np.concatenate([np.arange(len(a)), np.arange(len(b))])
-    order = np.lexsort(tuple(rows[:, j] for j in range(m)))
-    return rows[order], src[order], own[order]
+    rows = np.vstack([a, b])
+    src = np.repeat(np.array([0, 1], dtype=np.int8), [len(a), len(b)])
+    keys = _packed_keys(rows, p)
+    order = np.argsort(keys[0])
+    top = keys[0][order]
+    tied = np.flatnonzero(top[1:] == top[:-1])
+    if len(tied):
+        at = np.union1d(tied, tied + 1)
+        sub = order[at]
+        order[at] = sub[np.lexsort([sub] + [k[sub] for k in keys[::-1]])]
+    nbytes = (2 * rows.nbytes + sum(k.nbytes for k in keys) + top.nbytes
+              + order.nbytes)
+    del keys, top  # free them before the sorted copy of rows is made
+    return rows[order], src[order], nbytes
 
 
-def minimal_search(ctx: FieldCtx, threads: int = 1,
+def _pair_rows(src: np.ndarray, starts: np.ndarray, b_first: np.ndarray,
+               nb: np.ndarray, n_pairs: np.ndarray, want: int):
+    """Sorted-row indices (a, b) of the first ``want`` minimizing pairs.
+
+    Runs come in order, and a run pairs each of its a rows, in order, with
+    each of its b rows, in order; ``b_first`` counts the b rows before each
+    run's start.  Pair t of a run of nb b rows is (t // nb, t % nb).
+    """
+    upto = np.cumsum(n_pairs)  # pairs in the runs up to each run
+    t = np.arange(min(want, int(upto[-1])), dtype=np.int64)
+    g = np.searchsorted(upto, t, side="right")  # the run of each pair
+    t -= upto[g] - n_pairs[g]
+    a_rows, b_rows = np.flatnonzero(src == 0), np.flatnonzero(src == 1)
+    a_at = a_rows[starts[g] - b_first[g] + t // nb[g]]
+    b_at = b_rows[b_first[g] + t % nb[g]]
+    return a_at, b_at
+
+
+def _glue_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """glue_pair(a[t], b[t]) onto block 0 (alpha = 1) for every row pair t."""
+    p = ctx.p
+    half = pow(2, -1, p)
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    return np.hstack([(a + b) * half % p, (a - b) * half % p])
+
+
+def minimal_search(ctx: FieldCtx,
                    keep_representatives: int | None = 16,
                    pair_cap: int = DEFAULT_PAIR_CAP) -> SearchReport:
     """Find the minimal degree over all of F and all its attainers.
@@ -183,10 +243,15 @@ def minimal_search(ctx: FieldCtx, threads: int = 1,
     fam_b = _shift_members(ctx, fam_a, 1)
     assert fam_a.shape[1] == m
 
-    rows, src, _own = _sorted_merge(fam_a, fam_b)
-    eq = rows[:-1] == rows[1:]
-    eq_rev = eq[:, ::-1]  # column 0 = top coefficient
-    lcp = np.where(eq_rev.all(axis=1), m, (~eq_rev).argmax(axis=1))
+    rows, src, merge_bytes = _sorted_merge(fam_a, fam_b, ctx.p)
+    # lcp[i]: how many top coefficients sorted rows i and i+1 share
+    lcp = np.zeros(len(rows) - 1, dtype=np.int8)  # m <= SEARCH_CAP
+    tied = np.ones(len(rows) - 1, dtype=bool)
+    for j in range(m - 1, -1, -1):
+        tied &= rows[:-1, j] == rows[1:, j]
+        if not tied.any():
+            break
+        lcp += tied
     cross = src[:-1] != src[1:]
     if not cross.any():  # pragma: no cover - both families always nonempty
         raise CancellationImpossible("no cross-family adjacency")
@@ -194,46 +259,33 @@ def minimal_search(ctx: FieldCtx, threads: int = 1,
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
 
-    # group rows into runs whose top-`best` coefficients agree
-    breaks = np.flatnonzero(lcp < best)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks + 1, [len(rows)]])
-    minimizer_count = 0
-    rep_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    want = keep_representatives if keep_representatives is not None else pair_cap
-    for s0, s1 in zip(starts, ends):
-        grp_src = src[s0:s1]
-        a_rows = rows[s0:s1][grp_src == 0]
-        b_rows = rows[s0:s1][grp_src == 1]
-        n_pairs = len(a_rows) * len(b_rows)
-        if n_pairs == 0:
-            continue
-        minimizer_count += n_pairs
-        for ar in a_rows:
-            for br in b_rows:
-                if len(rep_pairs) < want:
-                    rep_pairs.append((ar, br))
-            if len(rep_pairs) >= want:
-                break
+    # runs of rows whose top-`best` coefficients agree are chains of links
+    # lcp >= best; a run of na rows of a and nb rows of b holds na * nb
+    # minimizing pairs, and a lone row holds none
+    link = np.flatnonzero(lcp >= best)
+    first = np.diff(link, prepend=-2) != 1
+    starts = link[first]
+    ends = link[np.append(first[1:], True)] + 2
+    b_before = np.concatenate([[0], np.cumsum(src, dtype=np.int64)])
+    nb = b_before[ends] - b_before[starts]
+    n_pairs = (ends - starts - nb) * nb
+    minimizer_count = int(n_pairs.sum())
     count_only = minimizer_count > pair_cap
 
-    reps = []
-    for ar, br in rep_pairs:
-        f0 = poly.from_coeffs(ctx, [int(v) for v in ar])
-        f1 = poly.from_coeffs(ctx, [int(v) for v in br])
-        reps.append(glue_pair(ctx, f0, f1, k, 0))
+    want = keep_representatives if keep_representatives is not None else pair_cap
+    a_at, b_at = _pair_rows(src, starts, b_before[starts], nb, n_pairs, max(want, 0))
+    glued = _glue_rows(ctx, rows[a_at], rows[b_at])
     min_degree = m + (m - 1 - best)
     assert min_degree >= -(-(ctx.p - 1) // 3), "(p-1)/3 lower bound violated"
     assert min_degree <= ctx.r - (ctx.q - 1) // 2
-    for f in reps:
-        assert f.degree == min_degree
+    # every representative has degree min_degree
+    assert glued[:, min_degree].all() and not glued[:, min_degree + 1:].any()
+    reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
     stats = {
         "wall_seconds": round(time.monotonic() - t0, 6),
-        "threads": threads,
         "family_size": int(len(fam_a)),
         "modulus": m,
-        "memory_bytes": int(fam_a.nbytes + fam_b.nbytes + rows.nbytes),
-        "comparisons": int(2 * len(rows) * m),  # lexsort key passes, upper bound
+        "memory_bytes": int(fam_a.nbytes + fam_b.nbytes + merge_bytes),
         "count_only": count_only,
         "top_level_cancellation": m - 1 - best,
     }
@@ -250,7 +302,7 @@ def min_degree_direct(ctx: FieldCtx) -> SearchReport:
     assert is_sqrt_poly(ctx, f)
     return SearchReport(min_degree=e, minimizer_count=2,
                         representatives=[f, -f], prefix_length=None,
-                        stats={"route": "direct", "threads": 1})
+                        stats={"route": "direct"})
 
 
 @dataclass

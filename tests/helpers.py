@@ -43,3 +43,53 @@ def naive_flip_shift(signs, n):
         sgn = -1 if (j // d) % 2 else 1
         out.append(sgn * signs[j % d])
     return out
+
+
+def naive_minimal_search(ctx, keep_representatives=16, pair_cap=10 ** 6):
+    """minimal_search with a per-column lexsort and a Python loop per group.
+
+    Returns (prefix_length, minimizer_count, representative coefficient
+    lists), in the order minimal_search reports them.
+    """
+    import numpy as np
+
+    from sqrtpoly import poly, search
+
+    m = (ctx.p - 1) // 4
+    k = ctx.s - 2
+    fam_a = search._level_members(ctx, k)
+    fam_b = search._shift_members(ctx, fam_a, 1)
+    rows = np.vstack([fam_a, fam_b]).astype(np.int64)
+    src = np.concatenate([np.zeros(len(fam_a), dtype=np.int8),
+                          np.ones(len(fam_b), dtype=np.int8)])
+    order = np.lexsort(tuple(rows[:, j] for j in range(m)))
+    rows, src = rows[order], src[order]
+    eq_rev = (rows[:-1] == rows[1:])[:, ::-1]
+    lcp = np.where(eq_rev.all(axis=1), m, (~eq_rev).argmax(axis=1))
+    best = int(lcp[src[:-1] != src[1:]].max())
+    breaks = np.flatnonzero(lcp < best)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks + 1, [len(rows)]])
+    minimizer_count = 0
+    rep_pairs = []
+    want = keep_representatives if keep_representatives is not None else pair_cap
+    for s0, s1 in zip(starts, ends):
+        grp_src = src[s0:s1]
+        a_rows = rows[s0:s1][grp_src == 0]
+        b_rows = rows[s0:s1][grp_src == 1]
+        n_pairs = len(a_rows) * len(b_rows)
+        if n_pairs == 0:
+            continue
+        minimizer_count += n_pairs
+        for ar in a_rows:
+            for br in b_rows:
+                if len(rep_pairs) < want:
+                    rep_pairs.append((ar, br))
+            if len(rep_pairs) >= want:
+                break
+    reps = []
+    for ar, br in rep_pairs:
+        f0 = poly.from_coeffs(ctx, [int(v) for v in ar])
+        f1 = poly.from_coeffs(ctx, [int(v) for v in br])
+        reps.append(poly.glue_pair(ctx, f0, f1, k, 0).coeffs)
+    return best, minimizer_count, reps

@@ -172,6 +172,13 @@ def test_family_census_errors(ctx13):
         family_census(make_field_ctx(12289), 2048)  # r = 6144 = 2048 * 3
 
 
+def test_family_census_cap_from_env(monkeypatch, ctx41):
+    monkeypatch.setenv(census.CAP_ENV_VAR, "3")
+    with pytest.raises(TooLarge):
+        family_census(ctx41, 4)
+    assert family_census(ctx41, 4, max_r=4).counts == TS_COUNTS[41]
+
+
 def test_admissible_degrees(ctx29):
     assert census.family_admissible_degrees(ctx29, 2) == [11, 4]
     ctx41 = make_field_ctx(41)

@@ -106,6 +106,12 @@ def test_count_vanishing_fallback(capsys):
     assert "bruteforce" in obj
 
 
+def test_count_vanishing_bad_shard():
+    # an out-of-range shard is invalid input (2), not a resource cap (3)
+    assert cli.main(["count-vanishing", "--p", "13", "--ell", "1",
+                     "--bruteforce", "--shard", "5/5"]) == 2
+
+
 def test_heuristic(capsys):
     obj = run_json(capsys, ["heuristic", "--p", "97"])
     assert obj["ts_expected"] == {"41": "7", "44": "669", "47": "64860"}

@@ -5,8 +5,8 @@ import pytest
 
 from sqrtpoly import fourier, make_field_ctx, poly
 from sqrtpoly.errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly,
-                             NotCoprime, PeriodDoesNotDivide, TooLarge,
-                             UnresolvedHalfRoot)
+                             NotCoprime, PeriodDoesNotDivide, RangeOutOfBounds,
+                             TooLarge, UnresolvedHalfRoot)
 from sqrtpoly.field import root_of_unity
 from sqrtpoly.signs import SignVector, from_signs
 
@@ -130,7 +130,7 @@ def test_bruteforce_sharding(ctx29):
         parts = sum(fourier.count_vanishing_bruteforce(ctx29, 14, 1, (i, nshards))
                     for i in range(nshards))
         assert parts == full
-    with pytest.raises(TooLarge):
+    with pytest.raises(RangeOutOfBounds):
         fourier.count_vanishing_bruteforce(ctx29, 14, 1, (3, 3))
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sqrtpoly import make_field_ctx, poly, search
@@ -10,6 +11,7 @@ from sqrtpoly.search import (build_level, build_level_zero, decompose_tree,
 
 from .fixtures import (P41_MINIMAL, P41_MINIMAL_HALF_0, P41_MINIMAL_HALF_1,
                        P41_MINIMAL_LEAVES)
+from .helpers import naive_minimal_search
 
 
 def test_level_zero_family(ctx41):
@@ -94,6 +96,57 @@ def test_minimal_search_keep_limit(ctx41):
     report = minimal_search(ctx41, keep_representatives=3)
     assert report.minimizer_count == 640  # count is exact regardless
     assert len(report.representatives) == 3
+    for keep in (0, -1):
+        report = minimal_search(ctx41, keep_representatives=keep)
+        assert report.minimizer_count == 640
+        assert report.representatives == []
+
+
+@pytest.mark.parametrize("keep", [1, 3, None])
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53])
+def test_group_scan_matches_naive_loop(p, keep):
+    ctx = make_field_ctx(p)
+    report = minimal_search(ctx, keep_representatives=keep)
+    best, count, reps = naive_minimal_search(ctx, keep_representatives=keep)
+    assert report.prefix_length == best
+    assert report.minimizer_count == count
+    assert [f.coeffs for f in report.representatives] == reps
+
+
+def test_minimal_search_pair_cap(ctx41):
+    report = minimal_search(ctx41, keep_representatives=None, pair_cap=100)
+    assert report.stats["count_only"]
+    assert report.minimizer_count == 640
+    assert len(report.representatives) == 100
+
+
+def test_packed_key_order_matches_column_lexsort():
+    ctx = make_field_ctx(53)  # 13 coefficients of 6 bits: two keys
+    fam_a = search._level_members(ctx, ctx.s - 2)
+    fam_b = search._shift_members(ctx, fam_a, 1)
+    rows, src, _ = search._sorted_merge(fam_a, fam_b, ctx.p)
+    both = np.vstack([fam_a, fam_b])
+    order = np.lexsort(tuple(both[:, j] for j in range(both.shape[1])))
+    assert np.array_equal(rows, both[order])
+    assert np.array_equal(src, order >= len(fam_a))
+
+
+@pytest.mark.parametrize("p, m", [(13, 16), (13, 22), (89, 22), (257, 22)])
+def test_packed_key_order_breaks_ties(p, m):
+    # few distinct values: the top key ties often, so the later keys and
+    # the original order of equal rows decide (one key for (13, 16))
+    rng = np.random.default_rng(p + m)
+    dtype = search._storage_dtype(p)
+    a = rng.integers(0, 2, size=(300, m)).astype(dtype)
+    b = rng.integers(0, 2, size=(200, m)).astype(dtype)
+    a[:, :2] = rng.integers(0, p, size=(300, 2))
+    a[100:120] = a[:20]  # equal rows within a family
+    b[:50] = a[:50]  # and across the families
+    rows, src, _ = search._sorted_merge(a, b, p)
+    both = np.vstack([a, b])
+    order = np.lexsort(tuple(both[:, j] for j in range(m)))
+    assert np.array_equal(rows, both[order])
+    assert np.array_equal(src, order >= len(a))
 
 
 def test_min_degree_direct():
