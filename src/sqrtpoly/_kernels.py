@@ -1,99 +1,193 @@
-"""Gray-code walks over sign vectors.
+"""The meet-in-the-middle join shared by the census, the vanishing counts
+and the minimal-degree search (Horowitz-Sahni).
 
-Both kernels walk a contiguous index range of E_d in reflected Gray-code
-order; one sign flips per step, so coefficients are maintained by adding
-or subtracting a precomputed delta row (O(r) per step) and the single
-half sum by one addition.  vanish_gray_kernel backs the brute-force
-vanishing count; census_gray_kernel backs census._run_shard, the slow
-oracle for the meet-in-the-middle census.  Compiled with numba when it
-is installed (the optional "numba" extra); otherwise the same bodies run
-as plain Python.
+Each of them asks how many pairs (a row of A, a row of B) agree on their
+top j columns.  join_sort sorts the rows of both tables together, top
+column first, and gives the common-prefix length of each adjacent pair
+of sorted rows.  scan_runs cuts the sorted rows into runs that agree on
+their top j columns and counts each run's rows from A and from B; a run
+of na rows of A and nb rows of B holds na * nb agreeing pairs.
+
+The census and the vanishing counts sum signed weights: with half_tables
+A and B of the low and the high signs, a vector's row is A + B mod p,
+and its top j entries vanish exactly when its A and -B rows agree on
+them.  range_hist counts the degrees of A + B over a range of Gray
+indices by join_hist; its hist[0] counts the rows that vanish outright.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+from . import _modmat
+from .errors import SqrtPolyError
 
 
-@njit(cache=True, nogil=True)
-def census_gray_kernel(delta, p, r, lo, hi, c, hist):
-    """Degree histogram over Gray-coded sign vectors with indices in [lo, hi).
+def _digits(p: int) -> tuple[int, int]:
+    """(bits, per): bits of a value in [0, p), values per uint64 key."""
+    bits = (p - 1).bit_length()
+    return bits, 64 // bits
 
-    delta[n, k] = 2/r * gamma^(n(1-2k)) mod p; c must hold the coefficient
-    vector of the vector gray(lo) on entry and is left at gray(hi-1).
-    hist[j+1] counts degree j; hist[0] would count the zero polynomial.
+
+def key_count(cols: int, p: int) -> int:
+    """Number of uint64 keys a row of cols values in [0, p) packs into."""
+    return -(-cols // _digits(p)[1])
+
+
+def _packed_keys(a: np.ndarray, b: np.ndarray, p: int) -> list[np.ndarray]:
+    """The rows of a, then of b, packed into uint64 keys, top column first.
+
+    Each key holds `per` columns of `bits` bits, a higher column in higher
+    bits, so comparing the keys in turn compares the rows column by
+    column from the top.  The keys are stacked; the rows are not.
     """
-    k = r - 1
-    while k >= 0 and c[k] == 0:
-        k -= 1
-    hist[k + 1] += 1
-    for i in range(lo + 1, hi):
-        t = i
-        n = 0
-        while t & 1 == 0:
-            t >>= 1
-            n += 1
-        row = delta[n]
-        if ((i ^ (i >> 1)) >> n) & 1:
-            # sign at n became -1: subtract the delta row
-            for k in range(r):
-                v = c[k] - row[k]
-                if v < 0:
-                    v += p
-                c[k] = v
-        else:
-            for k in range(r):
-                v = c[k] + row[k]
-                if v >= p:
-                    v -= p
-                c[k] = v
-        k = r - 1
-        while k >= 0 and c[k] == 0:
-            k -= 1
-        hist[k + 1] += 1
+    bits, per = _digits(p)
+    keys = []
+    for hi in range(a.shape[1], 0, -per):
+        key = np.zeros(len(a) + len(b), dtype=np.uint64)
+        for rows, part in ((a, key[:len(a)]), (b, key[len(a):])):
+            for j in range(hi - 1, max(hi - per, 0) - 1, -1):
+                part <<= np.uint64(bits)
+                part |= rows[:, j].astype(np.uint64)
+        keys.append(key)
+    return keys
 
 
-@njit(cache=True, nogil=True)
-def vanish_gray_kernel(tab, p, lo, hi, h):
-    """Count Gray-coded vectors with index in [lo, hi) whose half sum is 0.
+def _zero_top_digits(x: np.ndarray, digits: int, bits: int) -> np.ndarray:
+    """How many top digits (of `bits` bits, `digits` in all) of each x are 0."""
+    n = np.zeros(len(x), dtype=np.uint8)
+    for t in range(digits - 1, -1, -1):
+        below = x < np.uint64(1 << (bits * t))
+        if not below.any():
+            break
+        n += below
+    return n
 
-    tab[n] = 2 * zeta^(n*ell) mod p; h is the half sum at gray(lo).
+
+def join_sort(a: np.ndarray, b: np.ndarray, p: int):
+    """Sort the rows of a and b together, top column first.
+
+    a and b hold values in [0, p) and have the same number of columns.
+    Returns (order, src, lcp): sorted row t is row order[t] of a stacked
+    over b, src[t] is its table (0 for a, 1 for b), and lcp[t] is how many
+    top columns sorted rows t and t+1 share.  Equal rows keep a before b
+    and their own order, as in a stable sort.  The first key alone seldom
+    ties, so rows are sorted on it, and only rows that tie on it are
+    sorted again on all keys and their index; likewise only pairs that
+    tie on the keys so far compare the next key.
     """
-    cnt = 0
-    if h == 0:
-        cnt += 1
-    for i in range(lo + 1, hi):
-        t = i
-        n = 0
-        while t & 1 == 0:
-            t >>= 1
-            n += 1
-        if ((i ^ (i >> 1)) >> n) & 1:
-            h -= tab[n]
-            if h < 0:
-                h += p
-        else:
-            h += tab[n]
-            if h >= p:
-                h -= p
-        if h == 0:
-            cnt += 1
-    return cnt
+    cols = a.shape[1]
+    bits, per = _digits(p)
+    keys = _packed_keys(a, b, p)
+    order = np.argsort(keys[0])
+    top = keys[0][order]
+    tied = np.flatnonzero(top[1:] == top[:-1])
+    if len(tied):
+        in_tie = np.zeros(len(order), dtype=bool)
+        in_tie[tied] = in_tie[tied + 1] = True
+        at = np.flatnonzero(in_tie)  # np.union1d would import numpy.ma
+        sub = order[at]
+        order[at] = sub[np.lexsort([sub] + [k[sub] for k in keys[::-1]])]
+    lcp = _zero_top_digits(top[1:] ^ top[:-1], min(per, cols), bits)
+    del top
+    for i, key in enumerate(keys[1:], 1):
+        if not len(tied):
+            break
+        x = key[order[tied + 1]] ^ key[order[tied]]
+        lcp[tied] += _zero_top_digits(x, min(per, cols - i * per), bits)
+        tied = tied[x == 0]
+    src = (order >= len(a)).astype(np.int8)
+    return order, src, lcp
 
 
-def gray_signs(word: int, d: int) -> np.ndarray:
-    """+-1 row for a raw bit word (bit set means -1)."""
-    bits = (word >> np.arange(d, dtype=np.int64)) & 1
-    return (1 - 2 * bits).astype(np.int64)
+def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
+    """Runs of join_sort's rows whose top `length` columns agree.
+
+    A run is a maximal chain of links lcp >= length, so it holds at least
+    two rows; a row in no run pairs with nothing.  Returns
+    (starts, b_first, na, nb): run t begins at sorted row starts[t],
+    b_first[t] rows of b come before it, and it holds na[t] rows of a
+    and nb[t] rows of b.
+    """
+    link = np.flatnonzero(lcp >= length)
+    starts = link[np.diff(link, prepend=-2) != 1]
+    ends = link[np.diff(link, append=len(lcp) + 1) != 1] + 2
+    b_before = np.concatenate([[0], np.cumsum(src, dtype=np.int64)])
+    b_first = b_before[starts]
+    nb = b_before[ends] - b_first
+    return starts, b_first, ends - starts - nb, nb
+
+
+def half_tables(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Tables of sum_n eps_n weights[n] mod p over the low and the high signs.
+
+    With d = len(weights) and b = d // 2, bit n of a low word w is the
+    sign at n < b and bit n of a high word the sign at b + n; A[w] and
+    B[w] hold the sum over their half, so a vector's row is
+    A[low word] + B[high word] mod p.  The signs enter as +-1, so no
+    partial sum exceeds b * (p - 1) in size.
+    """
+    half = len(weights) // 2
+    tables = []
+    for part in (weights[:half], weights[half:]):
+        bits = np.arange(len(part), dtype=np.int64)
+        words = np.arange(1 << len(part), dtype=np.int64)
+        signs = 1 - 2 * ((words[:, None] >> bits) & 1)
+        tables.append(_modmat.matmul_mod(signs, part, p))
+    return tables[0], tables[1], half
+
+
+def degree_hist(c: np.ndarray) -> np.ndarray:
+    """hist[k+1] = number of rows of degree k; hist[0] counts zero rows."""
+    cols = c.shape[1]
+    nz = c != 0
+    deg = np.where(nz.any(axis=1), cols - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    return np.bincount(deg + 1, minlength=cols + 1)
+
+
+def join_hist(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Degree histogram of all sums a[i] + b[j] mod p, as degree_hist.
+
+    A run of the rows of a and -b sorted together whose top j columns
+    agree pairs each a row with each -b row into a sum whose top j
+    coefficients vanish, so Z_j = sum over runs of #a * #b, and degree
+    cols-1-j occurs Z_j - Z_{j+1} times.
+    """
+    cols = a.shape[1]
+    _, src, lcp = join_sort(a, (-b) % p, p)
+    z = np.empty(cols + 1, dtype=np.int64)
+    for j in range(cols + 1):
+        _, _, na, nb = scan_runs(lcp, src, j)
+        z[j] = na @ nb
+    hist = np.empty(cols + 1, dtype=np.int64)
+    hist[0] = z[cols]
+    hist[1:] = (z[:-1] - z[1:])[::-1]
+    return hist
+
+
+def range_hist(tables: tuple, p: int, lo: int, hi: int) -> np.ndarray:
+    """Degree histogram of A + B over the Gray indices [lo, hi), as join_hist.
+
+    The high bits of gray(i) are gray(i >> b), so the full row h of 2^b
+    indices is every low word paired with the high word gray(h): full
+    rows join against the whole A table.  The partial rows at unaligned
+    ends are summed and read directly.  The histogram must count exactly
+    hi - lo rows, or SqrtPolyError is raised.
+    """
+    a, b, half = tables
+    width = 1 << half
+    first, last = -(-lo // width), hi // width
+    hist = np.zeros(a.shape[1] + 1, dtype=np.int64)
+    ends = [(lo, hi)]
+    if first < last:
+        rows = np.arange(first, last, dtype=np.int64)
+        hist += join_hist(a, b[rows ^ (rows >> 1)], p)
+        ends = [(lo, first * width), (last * width, hi)]
+    for x, y in ends:
+        if x < y:
+            idx = np.arange(x, y, dtype=np.int64)
+            word = idx ^ (idx >> 1)
+            hist += degree_hist((a[word & (width - 1)] + b[word >> half]) % p)
+    if hist.sum() != hi - lo:
+        raise SqrtPolyError(f"census of [{lo}, {hi}) counted {hist.sum()} vectors")
+    return hist

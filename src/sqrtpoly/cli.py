@@ -96,9 +96,7 @@ def cmd_census(args):
         idx, total = _parse_shard(args.shard)
         hist = census_mod.census_shard(ctx, idx, total, max_r=args.max_r)
     else:
-        hist = census_mod.full_census(ctx, shards=args.shards,
-                                      checkpoint=args.checkpoint,
-                                      max_r=args.max_r)
+        hist = census_mod.full_census(ctx, shards=args.shards, max_r=args.max_r)
     _emit(args, _hist_payload(hist), csv_rows=hist.to_csv_rows(),
           csv_header=census_mod.CSV_HEADER)
     return 0
@@ -227,8 +225,8 @@ def _ts_columns(ctx):
     return hist, expected
 
 
-def reproduce_tables(primes, out_dir: str = ".", max_census_r: int = 26,
-                     threads: int = 1) -> tuple[str, str]:
+def reproduce_tables(primes, out_dir: str = ".",
+                     max_census_r: int = 26) -> tuple[str, str]:
     """Write long_table.csv and ts_table.csv for the given primes."""
     import os
 
@@ -245,9 +243,7 @@ def reproduce_tables(primes, out_dir: str = ".", max_census_r: int = 26,
         census_ok = ctx.r <= max_census_r
         all_counts = None
         if census_ok:
-            shards = max(threads, 1)
-            all_counts = census_mod.full_census(
-                ctx, shards=shards, threads=threads, max_r=max_census_r).counts
+            all_counts = census_mod.full_census(ctx, max_r=max_census_r).counts
         naive = {row.degree: row.rounded
                  for row in heuristic.naive_expected_counts(ctx).rows}
         degrees = set(ts_hist.counts)
@@ -288,8 +284,7 @@ def cmd_reproduce_tables(args):
     primes = [int(x) for x in args.primes.split(",")]
     long_path, ts_path = reproduce_tables(
         primes, out_dir=args.out or ".",
-        max_census_r=args.max_r if args.max_r is not None else 26,
-        threads=args.threads)
+        max_census_r=args.max_r if args.max_r is not None else 26)
     sys.stdout.write(f"{long_path}\n{ts_path}\n")
     return 0
 
@@ -299,7 +294,6 @@ def _add_common(sp, p_required=True):
         sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--format", choices=["table", "csv", "json"],
                     default="table")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", help="write output to this path")
 
 
@@ -324,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--shards", type=int, default=1)
     sp.add_argument("--shard", help="i/N: compute only one shard")
-    sp.add_argument("--checkpoint", help="resumable checkpoint path")
     sp.add_argument("--max-r", type=int, default=None)
     sp.set_defaults(fn=cmd_census)
 
@@ -369,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", required=True, help="comma-separated primes")
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--max-r", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(fn=cmd_reproduce_tables)
 
     sp = sub.add_parser("merge", help="merge sharded histogram JSON files")

@@ -143,11 +143,15 @@ def count_vanishing_formula(ctx: FieldCtx, ell: int) -> int:
 def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
                                shard: tuple[int, int] | None = None,
                                zeta: int | None = None) -> int:
-    """#{eps in E_d : H_{d,ell}(eps) = 0} by Gray-code enumeration.
+    """#{eps in E_d : H_{d,ell}(eps) = 0}, exact, by a one-column join.
 
-    shard = (index, total) restricts to one contiguous slice of the 2^d
-    indices; slices sum to the full count.  zeta overrides the canonical
-    primitive 2d-th root (the count is root-independent; tested).
+    With w = zeta^ell, H = A(low signs) + B(high signs) for the half sums
+    A, B of eps_n w^n, so the count is the number of pairs with A = -B:
+    the census join over one column, whose hist[0] counts the vanishing
+    sums.  shard = (index, total) restricts to the Gray-code indices
+    [2^d index // total, 2^d (index+1) // total); slices sum to the full
+    count.  zeta overrides the canonical primitive 2d-th root (the count
+    is root-independent; tested).
     """
     if d > BRUTE_FORCE_CAP:
         raise TooLarge(f"d = {d} exceeds enumeration cap {BRUTE_FORCE_CAP}")
@@ -155,11 +159,6 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
     if zeta is None:
         zeta = root_of_unity(ctx, 2 * d)
     w = pow(zeta, ell % (2 * d), p)
-    tab = np.empty(d, dtype=np.int64)
-    cur = 1
-    for n in range(d):
-        tab[n] = 2 * cur % p
-        cur = cur * w % p
     total = 1 << d
     if shard is None:
         lo, hi = 0, total
@@ -171,12 +170,5 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
         hi = total * (idx + 1) // nshards
     if lo >= hi:
         return 0
-    g0 = lo ^ (lo >> 1)
-    signs0 = _kernels.gray_signs(g0, d)
-    h0 = 0
-    cur = 1  # zeta^(n ell)
-    for n in range(d):
-        h0 += cur * int(signs0[n])
-        cur = cur * w % p
-    h0 %= p
-    return int(_kernels.vanish_gray_kernel(tab, p, lo, hi, h0))
+    powers = np.array([[pow(w, n, p)] for n in range(d)], dtype=np.int64)
+    return int(_kernels.range_hist(_kernels.half_tables(powers, p), p, lo, hi)[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import poly
+from . import _kernels, poly
 from .errors import (CancellationImpossible, LevelOutOfRange, TooLarge,
                      WrongResidue)
 from .field import FieldCtx, root_of_unity
@@ -153,53 +153,10 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     return LevelFamily(level=k, block=i, modulus=m, members=members)
 
 
-def _packed_keys(rows: np.ndarray, p: int) -> list[np.ndarray]:
-    """The rows packed into uint64 sort keys, top coefficient first.
-
-    Each key holds 64 // bits coefficients of bits = (p-1).bit_length()
-    bits, a higher column in higher bits, so comparing the keys in turn
-    compares the rows column by column from the top.
-    """
-    bits = (p - 1).bit_length()
-    per = 64 // bits
-    keys = []
-    for hi in range(rows.shape[1], 0, -per):
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for j in range(hi - 1, max(hi - per, 0) - 1, -1):
-            key <<= np.uint64(bits)
-            key |= rows[:, j]
-        keys.append(key)
-    return keys
-
-
-def _sorted_merge(a: np.ndarray, b: np.ndarray, p: int):
-    """Sort the union of two member matrices highest coefficient first.
-
-    Returns (rows, src, nbytes): the rows in sorted order, the family of
-    each (0 for a, 1 for b) and the bytes of the arrays built on the way.
-    Equal rows keep a before b and their own order, as in a stable sort.
-    The first key alone seldom ties, so rows are sorted on it, and only
-    rows that tie on it are sorted again on all keys and their index.
-    """
-    rows = np.vstack([a, b])
-    src = np.repeat(np.array([0, 1], dtype=np.int8), [len(a), len(b)])
-    keys = _packed_keys(rows, p)
-    order = np.argsort(keys[0])
-    top = keys[0][order]
-    tied = np.flatnonzero(top[1:] == top[:-1])
-    if len(tied):
-        at = np.union1d(tied, tied + 1)
-        sub = order[at]
-        order[at] = sub[np.lexsort([sub] + [k[sub] for k in keys[::-1]])]
-    nbytes = (2 * rows.nbytes + sum(k.nbytes for k in keys) + top.nbytes
-              + order.nbytes)
-    del keys, top  # free them before the sorted copy of rows is made
-    return rows[order], src[order], nbytes
-
-
-def _pair_rows(src: np.ndarray, starts: np.ndarray, b_first: np.ndarray,
-               nb: np.ndarray, n_pairs: np.ndarray, want: int):
-    """Sorted-row indices (a, b) of the first ``want`` minimizing pairs.
+def _pair_rows(order: np.ndarray, src: np.ndarray, starts: np.ndarray,
+               b_first: np.ndarray, nb: np.ndarray, n_pairs: np.ndarray,
+               n_a: int, want: int):
+    """Family rows (a, b) of the first ``want`` minimizing pairs.
 
     Runs come in order, and a run pairs each of its a rows, in order, with
     each of its b rows, in order; ``b_first`` counts the b rows before each
@@ -209,7 +166,7 @@ def _pair_rows(src: np.ndarray, starts: np.ndarray, b_first: np.ndarray,
     t = np.arange(min(want, int(upto[-1])), dtype=np.int64)
     g = np.searchsorted(upto, t, side="right")  # the run of each pair
     t -= upto[g] - n_pairs[g]
-    a_rows, b_rows = np.flatnonzero(src == 0), np.flatnonzero(src == 1)
+    a_rows, b_rows = order[src == 0], order[src == 1] - n_a
     a_at = a_rows[starts[g] - b_first[g] + t // nb[g]]
     b_at = b_rows[b_first[g] + t % nb[g]]
     return a_at, b_at
@@ -243,15 +200,7 @@ def minimal_search(ctx: FieldCtx,
     fam_b = _shift_members(ctx, fam_a, 1)
     assert fam_a.shape[1] == m
 
-    rows, src, merge_bytes = _sorted_merge(fam_a, fam_b, ctx.p)
-    # lcp[i]: how many top coefficients sorted rows i and i+1 share
-    lcp = np.zeros(len(rows) - 1, dtype=np.int8)  # m <= SEARCH_CAP
-    tied = np.ones(len(rows) - 1, dtype=bool)
-    for j in range(m - 1, -1, -1):
-        tied &= rows[:-1, j] == rows[1:, j]
-        if not tied.any():
-            break
-        lcp += tied
+    order, src, lcp = _kernels.join_sort(fam_a, fam_b, ctx.p)
     cross = src[:-1] != src[1:]
     if not cross.any():  # pragma: no cover - both families always nonempty
         raise CancellationImpossible("no cross-family adjacency")
@@ -259,22 +208,17 @@ def minimal_search(ctx: FieldCtx,
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
 
-    # runs of rows whose top-`best` coefficients agree are chains of links
-    # lcp >= best; a run of na rows of a and nb rows of b holds na * nb
-    # minimizing pairs, and a lone row holds none
-    link = np.flatnonzero(lcp >= best)
-    first = np.diff(link, prepend=-2) != 1
-    starts = link[first]
-    ends = link[np.append(first[1:], True)] + 2
-    b_before = np.concatenate([[0], np.cumsum(src, dtype=np.int64)])
-    nb = b_before[ends] - b_before[starts]
-    n_pairs = (ends - starts - nb) * nb
+    # a run of rows whose top `best` coefficients agree, na of them from a
+    # and nb from b, holds na * nb minimizing pairs
+    starts, b_first, na, nb = _kernels.scan_runs(lcp, src, best)
+    n_pairs = na * nb
     minimizer_count = int(n_pairs.sum())
     count_only = minimizer_count > pair_cap
 
     want = keep_representatives if keep_representatives is not None else pair_cap
-    a_at, b_at = _pair_rows(src, starts, b_before[starts], nb, n_pairs, max(want, 0))
-    glued = _glue_rows(ctx, rows[a_at], rows[b_at])
+    a_at, b_at = _pair_rows(order, src, starts, b_first, nb, n_pairs,
+                            len(fam_a), max(want, 0))
+    glued = _glue_rows(ctx, fam_a[a_at], fam_b[b_at])
     min_degree = m + (m - 1 - best)
     assert min_degree >= -(-(ctx.p - 1) // 3), "(p-1)/3 lower bound violated"
     assert min_degree <= ctx.r - (ctx.q - 1) // 2
@@ -285,7 +229,9 @@ def minimal_search(ctx: FieldCtx,
         "wall_seconds": round(time.monotonic() - t0, 6),
         "family_size": int(len(fam_a)),
         "modulus": m,
-        "memory_bytes": int(fam_a.nbytes + fam_b.nbytes + merge_bytes),
+        "memory_bytes": int(fam_a.nbytes + fam_b.nbytes + order.nbytes
+                            + src.nbytes + lcp.nbytes
+                            + 8 * len(order) * _kernels.key_count(m, ctx.p)),
         "count_only": count_only,
         "top_level_cancellation": m - 1 - best,
     }

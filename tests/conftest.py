@@ -21,6 +21,5 @@ def ctx41():
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     # run one small census first, so timed tests measure the work and not
-    # the first call's imports and numpy set-up; the census does not use
-    # the numba kernels, so nothing here compiles them
+    # the first call's imports and numpy set-up
     census.full_census(make_field_ctx(13))

@@ -1,7 +1,7 @@
 """Independent little oracles used to cross-check the library.
 
 Everything here is deliberately naive (Lagrange interpolation, direct
-sums) so that agreement with the fast paths actually means something.
+sums, Gray-code walks) so that agreement with the fast paths actually means something.
 """
 
 
@@ -93,3 +93,64 @@ def naive_minimal_search(ctx, keep_representatives=16, pair_cap=10 ** 6):
         f1 = poly.from_coeffs(ctx, [int(v) for v in br])
         reps.append(poly.glue_pair(ctx, f0, f1, k, 0).coeffs)
     return best, minimizer_count, reps
+
+
+def _gray_flip(i):
+    """(n, to_minus): Gray index i - 1 -> i flips bit n, to -1 if it sets it."""
+    n = (i & -i).bit_length() - 1
+    return n, bool(((i ^ (i >> 1)) >> n) & 1)
+
+
+def gray_walk_census(ctx, lo, hi):
+    """Degree histogram over the Gray indices [lo, hi), one flip per step.
+
+    hist[k+1] counts degree k and hist[0] the zero polynomial, as
+    _kernels.range_hist gives it.  The coefficients are kept up to date
+    from census._delta_table, and at the end they must equal a fresh DFT
+    of the last vector, or the walk raises.
+    """
+    from sqrtpoly import census
+
+    p, r = ctx.p, ctx.r
+    delta = census._delta_table(ctx).tolist()
+    c = census._seed_coeffs(ctx, lo ^ (lo >> 1)).tolist()
+    hist = [0] * (r + 1)
+
+    def tally():
+        k = r - 1
+        while k >= 0 and c[k] == 0:
+            k -= 1
+        hist[k + 1] += 1
+
+    tally()
+    for i in range(lo + 1, hi):
+        n, to_minus = _gray_flip(i)
+        sign = -1 if to_minus else 1
+        c = [(ck + sign * dk) % p for ck, dk in zip(c, delta[n])]
+        tally()
+    last = hi - 1
+    if c != census._seed_coeffs(ctx, last ^ (last >> 1)).tolist():
+        raise AssertionError("incremental coefficient drift detected")
+    return hist
+
+
+def gray_walk_vanishing(ctx, d, ell, lo, hi, zeta=None):
+    """#{Gray indices i in [lo, hi) : sum_n eps_n zeta^(n*ell) = 0}.
+
+    zeta defaults to the canonical primitive 2d-th root; a set bit n of
+    gray(i) means eps_n = -1.
+    """
+    from sqrtpoly.field import root_of_unity
+
+    p = ctx.p
+    if zeta is None:
+        zeta = root_of_unity(ctx, 2 * d)
+    w = [pow(zeta, n * ell % (2 * d), p) for n in range(d)]
+    word = lo ^ (lo >> 1)
+    h = sum(-wn if (word >> n) & 1 else wn for n, wn in enumerate(w)) % p
+    count = int(h == 0)
+    for i in range(lo + 1, hi):
+        n, to_minus = _gray_flip(i)
+        h = (h - 2 * w[n] if to_minus else h + 2 * w[n]) % p
+        count += h == 0
+    return count

@@ -3,10 +3,12 @@ import pytest
 
 from sqrtpoly import census, fourier, make_field_ctx
 from sqrtpoly.census import DegreeHistogram, family_census, full_census
-from sqrtpoly.errors import InvalidDivisor, TooLarge
+from sqrtpoly.errors import (InvalidDivisor, SqrtPolyError, TooLarge,
+                             ValidationError)
 from sqrtpoly.signs import SignVector
 
 from .fixtures import ALL_COUNTS, TS_COUNTS
+from .helpers import gray_walk_census
 
 
 def brute_degree_counts(ctx):
@@ -34,75 +36,32 @@ def test_full_census_sharding(ctx29):
     assert full_census(ctx29, shards=4, threads=4).counts == base
 
 
-def test_full_census_checkpoint(tmp_path, ctx29):
-    path = str(tmp_path / "c29.ckpt")
-    base = full_census(ctx29).counts
-    # seed a partial run: compute shard 0 of 4 only, then resume
-    delta = census._delta_table(ctx29)
-    lo, hi = 0, (1 << 14) // 4
-    part = census._hist_to_counts(census._run_shard(ctx29, delta, lo, hi))
-    census._save_checkpoint(path, ctx29.p, 4, {0: part})
-    hist = full_census(ctx29, shards=4, checkpoint=path)
-    assert hist.counts == base
-    assert not (tmp_path / "c29.ckpt").exists()  # consumed on success
-
-
-def test_checkpoint_mismatch_ignored(tmp_path, ctx29):
-    # a checkpoint for different parameters must not poison the run
-    path = str(tmp_path / "other.ckpt")
-    census._save_checkpoint(path, 13, 4, {0: {3: 1}})
-    assert full_census(ctx29, shards=4, checkpoint=path).counts == \
-        ALL_COUNTS[29]
-
-
-def test_full_census_resumes_gray_walk_checkpoint(tmp_path, ctx29):
-    # shard 3 of 7 starts and ends off a row of the join, so its checkpoint
-    # part, made by the Gray walk, must cover exactly the join's range
-    path = str(tmp_path / "c29.ckpt")
-    lo, hi = census._shard_bounds(ctx29.r, 3, 7)
-    assert (lo, hi) == ((1 << 14) * 3 // 7, (1 << 14) * 4 // 7)
-    assert lo % (1 << (ctx29.r // 2)) and hi % (1 << (ctx29.r // 2))
-    part = census._hist_to_counts(
-        census._run_shard(ctx29, census._delta_table(ctx29), lo, hi))
-    census._save_checkpoint(path, ctx29.p, 7, {3: part})
-    assert full_census(ctx29, shards=7, checkpoint=path).counts == \
-        ALL_COUNTS[29]
-
-
-def test_full_census_needs_no_gray_kernel(monkeypatch, ctx29):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Gray walk must not run")
-
-    monkeypatch.setattr(census._kernels, "census_gray_kernel", refuse)
-    assert full_census(ctx29).counts == ALL_COUNTS[29]
-    assert full_census(ctx29, shards=7).counts == ALL_COUNTS[29]
-
-
 def test_census_shard_matches_gray_walk(ctx29):
     # every shard of an uneven split, against the Gray walk over its range
-    delta = census._delta_table(ctx29)
     merged = DegreeHistogram({})
     for i in range(7):
         lo, hi = census._shard_bounds(ctx29.r, i, 7)
         part = census.census_shard(ctx29, i, 7)
         assert part.counts == census._hist_to_counts(
-            census._run_shard(ctx29, delta, lo, hi)), i
+            np.array(gray_walk_census(ctx29, lo, hi))), i
         assert part.total == hi - lo
         assert part.meta["shard"] == [i, 7]
+        assert part.meta["shards"] == 7
         merged = merged.merge(part)
     assert merged.counts == ALL_COUNTS[29]
+    assert "shard" not in merged.meta and merged.meta["shards"] == 7
 
 
 def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
     # shard 1 of 4 at r = 14: 32 of the 128 high-half rows, and no others
     joined = []
-    real = census._join_hist
+    real = census._kernels.join_sort
 
     def spy(a, b, p):
         joined.append((len(a), len(b)))
         return real(a, b, p)
 
-    monkeypatch.setattr(census, "_join_hist", spy)
+    monkeypatch.setattr(census._kernels, "join_sort", spy)
     census.census_shard(ctx29, 1, 4)
     assert joined == [(128, 32)]
     with pytest.raises(census.RangeOutOfBounds):
@@ -111,14 +70,14 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
 
 def test_census_range_exactness_check(monkeypatch, ctx13):
     # a join that loses a pair must be refused, not reported
-    real = census._join_hist
+    real = census._kernels.join_hist
 
     def lossy(a, b, p):
         hist = real(a, b, p)
         hist[-1] -= 1
         return hist
 
-    monkeypatch.setattr(census, "_join_hist", lossy)
+    monkeypatch.setattr(census._kernels, "join_hist", lossy)
     with pytest.raises(census.SqrtPolyError, match="counted"):
         full_census(ctx13)
     with pytest.raises(census.SqrtPolyError, match="zero polynomial"):
@@ -205,14 +164,29 @@ def test_orbit_divisibility(ctx13):
         census.orbit_divisibility_check(make_field_ctx(53), [1])
 
 
-def test_shard_drift_detector(ctx13):
-    # corrupting the delta table must trip the end-of-shard verification
-    delta = census._delta_table(ctx13)
-    delta[0, 0] = (delta[0, 0] + 1) % ctx13.p
-    # the shard must end on a word with bit 0 set, so the corruption
+def test_shard_drift_detector(monkeypatch, ctx13):
+    # corrupting the delta table must trip the end-of-range verification
+    real = census._delta_table
+
+    def corrupt(ctx):
+        delta = real(ctx)
+        delta[0, 0] = (delta[0, 0] + 1) % ctx.p
+        return delta
+
+    monkeypatch.setattr(census, "_delta_table", corrupt)
+    # the range must end on a word with bit 0 set, so the corruption
     # cannot cancel out over an even number of flips
-    with pytest.raises(Exception, match="drift"):
-        census._run_shard(ctx13, delta, 0, 2)
+    with pytest.raises(AssertionError, match="drift"):
+        gray_walk_census(ctx13, 0, 2)
+
+
+def test_family_census_exactness_check(monkeypatch, ctx41):
+    # a product that loses every coefficient must be refused, not tallied,
+    # and not by an assert that python -O removes
+    monkeypatch.setattr(census._modmat, "matmul_mod",
+                        lambda a, b, p: np.zeros((len(a), b.shape[1]), np.int64))
+    with pytest.raises(SqrtPolyError, match="zero polynomial"):
+        family_census(ctx41, 4)
 
 
 def test_histogram_json_roundtrip():
@@ -235,3 +209,13 @@ def test_histogram_merge_and_csv():
     rows = m.to_csv_rows()
     assert rows[0] == [13, 2, 3, 3, "1", "all", 1]
     assert len(rows[0]) == len(census.CSV_HEADER)
+
+
+def test_histogram_merge_refuses_mixed_p_or_family():
+    a = DegreeHistogram({3: 1}, {"p": 13, "family": "all", "shard": [0, 2]})
+    with pytest.raises(ValidationError, match="p = 13"):
+        a.merge(DegreeHistogram({3: 1}, {"p": 17, "family": "all"}))
+    with pytest.raises(ValidationError, match="family"):
+        a.merge(DegreeHistogram({3: 1}, {"p": 13, "family": "alt-2"}))
+    merged = a.merge(DegreeHistogram({4: 1}, {"p": 13, "shard": [1, 2]}))
+    assert merged.meta == {"p": 13, "family": "all"}

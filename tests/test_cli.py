@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -79,12 +80,37 @@ def test_census_shard_skips_full_census(capsys, monkeypatch):
     assert cli.main(["census", "--p", "29", "--shard", "2"]) == 2
 
 
-def test_census_checkpoint_flag(capsys, tmp_path):
-    ckpt = tmp_path / "ck"
-    obj = run_json(capsys, ["census", "--p", "13", "--shards", "4",
-                            "--checkpoint", str(ckpt)])
+def test_census_checkpoint_flag(capsys):
+    # --checkpoint is gone; --shards still reaches the meta
+    obj = run_json(capsys, ["census", "--p", "13", "--shards", "4"])
     assert obj["meta"]["shards"] == 4
-    assert not ckpt.exists()
+
+
+def test_census_shard_csv_shard_count(capsys):
+    assert cli.main(["census", "--p", "29", "--shard", "1/4",
+                     "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][-1] == "shard_count"
+    assert {row[-1] for row in rows[1:]} == {"4"}
+
+
+def test_removed_options_are_rejected():
+    for argv in (["census", "--p", "13", "--checkpoint", "x"],
+                 ["ctx", "--p", "13", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+def test_merge_refuses_mixed_primes(capsys, tmp_path):
+    paths = []
+    for p in (29, 37):
+        obj = run_json(capsys, ["census", "--p", str(p), "--shard", "0/2"])
+        path = tmp_path / f"c{p}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    assert cli.main(["merge", *paths]) == 2
+    assert "p = 29" in capsys.readouterr().err
 
 
 def test_family_census(capsys):

@@ -10,7 +10,7 @@ from sqrtpoly.errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly,
 from sqrtpoly.field import root_of_unity
 from sqrtpoly.signs import SignVector, from_signs
 
-from .helpers import lagrange_interpolate, naive_half_sum
+from .helpers import gray_walk_vanishing, lagrange_interpolate, naive_half_sum
 
 
 def test_half_sum_against_oracle(ctx29):
@@ -134,6 +134,27 @@ def test_bruteforce_sharding(ctx29):
         fourier.count_vanishing_bruteforce(ctx29, 14, 1, (3, 3))
 
 
+@pytest.mark.parametrize("nshards", [2, 3, 7])
+@pytest.mark.parametrize("d", [7, 14])
+def test_bruteforce_shards_match_gray_walk(ctx29, d, nshards):
+    # every shard counts exactly the vectors of its own Gray-index range
+    for ell in (0, 1, 2, 3, 5):
+        for i in range(nshards):
+            lo, hi = (1 << d) * i // nshards, (1 << d) * (i + 1) // nshards
+            got = fourier.count_vanishing_bruteforce(ctx29, d, ell, (i, nshards))
+            assert got == gray_walk_vanishing(ctx29, d, ell, lo, hi), (ell, i)
+
+
+def test_bruteforce_exact_at_a_31_bit_prime():
+    # p = 2^31 - 1, 42 | p - 1: half sums of ten terms near 2^31 must not
+    # wrap int64 on their way to the join
+    ctx = make_field_ctx(2147483647)
+    lo, hi = 3 << 16, 4 << 16  # shard 3 of 32 at d = 21
+    for ell in (1, 3, 7, 14):
+        got = fourier.count_vanishing_bruteforce(ctx, 21, ell, (3, 32))
+        assert got == gray_walk_vanishing(ctx, 21, ell, lo, hi), ell
+
+
 def test_bruteforce_root_choice_independent(ctx13):
     # |V_{d,ell}| cannot depend on which primitive 2d-th root is used
     p = ctx13.p
@@ -141,8 +162,10 @@ def test_bruteforce_root_choice_independent(ctx13):
     counts = set()
     for e in range(1, 12):
         if math.gcd(e, 12) == 1:
-            counts.add(fourier.count_vanishing_bruteforce(
-                ctx13, 6, 1, zeta=pow(base, e, p)))
+            zeta = pow(base, e, p)
+            count = fourier.count_vanishing_bruteforce(ctx13, 6, 1, zeta=zeta)
+            assert count == gray_walk_vanishing(ctx13, 6, 1, 0, 64, zeta=zeta)
+            counts.add(count)
     assert len(counts) == 1
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqrtpoly import make_field_ctx, poly, search
+from sqrtpoly import _kernels, make_field_ctx, poly, search
 from sqrtpoly.census import full_census
 from sqrtpoly.errors import (LevelOutOfRange, NotASqrtPoly, TooLarge,
                              WrongResidue)
@@ -120,15 +120,25 @@ def test_minimal_search_pair_cap(ctx41):
     assert len(report.representatives) == 100
 
 
+def _check_join_sort(a, b, p):
+    # the order of a stable column lexsort, top column first, and the
+    # common-prefix lengths read off the sorted rows
+    order, src, lcp = _kernels.join_sort(a, b, p)
+    both = np.vstack([a, b])
+    want = np.lexsort(tuple(both[:, j] for j in range(both.shape[1])))
+    assert np.array_equal(order, want)
+    assert np.array_equal(src, want >= len(a))
+    rows = both[want]
+    eq_rev = (rows[:-1] == rows[1:])[:, ::-1]
+    naive = np.where(eq_rev.all(axis=1), both.shape[1], (~eq_rev).argmax(axis=1))
+    assert np.array_equal(lcp, naive)
+
+
 def test_packed_key_order_matches_column_lexsort():
     ctx = make_field_ctx(53)  # 13 coefficients of 6 bits: two keys
     fam_a = search._level_members(ctx, ctx.s - 2)
     fam_b = search._shift_members(ctx, fam_a, 1)
-    rows, src, _ = search._sorted_merge(fam_a, fam_b, ctx.p)
-    both = np.vstack([fam_a, fam_b])
-    order = np.lexsort(tuple(both[:, j] for j in range(both.shape[1])))
-    assert np.array_equal(rows, both[order])
-    assert np.array_equal(src, order >= len(fam_a))
+    _check_join_sort(fam_a, fam_b, ctx.p)
 
 
 @pytest.mark.parametrize("p, m", [(13, 16), (13, 22), (89, 22), (257, 22)])
@@ -142,11 +152,20 @@ def test_packed_key_order_breaks_ties(p, m):
     a[:, :2] = rng.integers(0, p, size=(300, 2))
     a[100:120] = a[:20]  # equal rows within a family
     b[:50] = a[:50]  # and across the families
-    rows, src, _ = search._sorted_merge(a, b, p)
-    both = np.vstack([a, b])
-    order = np.lexsort(tuple(both[:, j] for j in range(m)))
-    assert np.array_equal(rows, both[order])
-    assert np.array_equal(src, order >= len(a))
+    _check_join_sort(a, b, p)
+
+
+def test_scan_runs_counts_pairs():
+    # the run scan against a direct count of agreeing pairs, every length
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 3, size=(60, 5)).astype(np.int64)
+    b = rng.integers(0, 3, size=(40, 5)).astype(np.int64)
+    _, src, lcp = _kernels.join_sort(a, b, 3)
+    for j in range(6):
+        starts, b_first, na, nb = _kernels.scan_runs(lcp, src, j)
+        want = sum(np.array_equal(x[5 - j:], y[5 - j:]) for x in a for y in b)
+        assert na @ nb == want, j
+        assert np.array_equal(b_first, np.cumsum(src)[starts] - src[starts])
 
 
 def test_min_degree_direct():
