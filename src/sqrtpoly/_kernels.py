@@ -8,11 +8,15 @@ of sorted rows.  scan_runs cuts the sorted rows into runs that agree on
 their top j columns and counts each run's rows from A and from B; a run
 of na rows of A and nb rows of B holds na * nb agreeing pairs.
 
-The census and the vanishing counts sum signed weights: with half_tables
-A and B of the low and the high signs, a vector's row is A + B mod p,
-and its top j entries vanish exactly when its A and -B rows agree on
-them.  range_hist counts the degrees of A + B over a range of Gray
-indices by join_hist; its hist[0] counts the rows that vanish outright.
+The censuses and the vanishing counts sum signed weights: sign_table
+gives sum_n eps_n weights[n] mod p for every sign word, and it is the
+one place that turns sign words into signs.  With half_tables A and B
+of the low and the high signs, a vector's row is A + B mod p, and its
+top j entries vanish exactly when its A and -B rows agree on them.
+range_hist counts the degrees of A + B over a range of Gray indices by
+join_hist; its hist[0] counts the rows that vanish outright.  run_pairs
+lists the agreeing pairs themselves, and shard_range is the one rule
+that cuts Gray indices into shards.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _modmat
-from .errors import SqrtPolyError
+from .errors import RangeOutOfBounds, SqrtPolyError
 
 
 def _digits(p: int) -> tuple[int, int]:
@@ -118,23 +122,60 @@ def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
     return starts, b_first, ends - starts - nb, nb
 
 
+def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
+              want: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (of a, of b) of the first `want` agreeing pairs; all if None.
+
+    runs is scan_runs' result for join_sort's order and src.  Runs come
+    in order, and a run pairs each of its a rows, in order, with each of
+    its b rows, in order: pair t of a run of nb b rows is (t // nb, t % nb).
+    """
+    starts, b_first, na, nb = runs
+    upto = np.cumsum(na * nb)  # pairs in the runs up to each run
+    total = int(upto[-1]) if len(upto) else 0
+    t = np.arange(total if want is None else min(want, total), dtype=np.int64)
+    g = np.searchsorted(upto, t, side="right")  # the run of each pair
+    t -= upto[g] - na[g] * nb[g]
+    a_rows = order[src == 0]
+    b_rows = order[src == 1] - len(a_rows)
+    return (a_rows[starts[g] - b_first[g] + t // nb[g]],
+            b_rows[b_first[g] + t % nb[g]])
+
+
+def sign_table(weights: np.ndarray, p: int) -> np.ndarray:
+    """sum_n eps_n weights[n] mod p for every word of len(weights) bits.
+
+    Bit n of a word set means eps_n = -1, so row w of the result is the
+    signed sum for word w.  The signs enter as +-1, so no partial sum
+    exceeds len(weights) * (p - 1) in size, and matmul_mod keeps it exact
+    at any p < 2^63.
+    """
+    bits = np.arange(len(weights), dtype=np.int64)
+    words = np.arange(1 << len(weights), dtype=np.int64)
+    return _modmat.matmul_mod(1 - 2 * ((words[:, None] >> bits) & 1), weights, p)
+
+
 def half_tables(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Tables of sum_n eps_n weights[n] mod p over the low and the high signs.
+    """sign_table of the low and the high signs of weights, and the split.
 
     With d = len(weights) and b = d // 2, bit n of a low word w is the
     sign at n < b and bit n of a high word the sign at b + n; A[w] and
     B[w] hold the sum over their half, so a vector's row is
-    A[low word] + B[high word] mod p.  The signs enter as +-1, so no
-    partial sum exceeds b * (p - 1) in size.
+    A[low word] + B[high word] mod p.
     """
     half = len(weights) // 2
-    tables = []
-    for part in (weights[:half], weights[half:]):
-        bits = np.arange(len(part), dtype=np.int64)
-        words = np.arange(1 << len(part), dtype=np.int64)
-        signs = 1 - 2 * ((words[:, None] >> bits) & 1)
-        tables.append(_modmat.matmul_mod(signs, part, p))
-    return tables[0], tables[1], half
+    return sign_table(weights[:half], p), sign_table(weights[half:], p), half
+
+
+def shard_range(bits: int, index: int, count: int) -> tuple[int, int]:
+    """Shard index of count of the 2^bits Gray indices, as [lo, hi).
+
+    The shards of 0..count-1 cover every index once, in order.
+    """
+    if not 0 <= index < count:
+        raise RangeOutOfBounds(f"shard {index}/{count}: need 0 <= i < N")
+    total = 1 << bits
+    return total * index // count, total * (index + 1) // count
 
 
 def degree_hist(c: np.ndarray) -> np.ndarray:

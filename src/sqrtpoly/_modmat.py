@@ -3,8 +3,8 @@
 The workhorse is a blocked "power-table lookup" scheme: entries of the
 transform matrices are gamma^(i*j mod p-1), so instead of materializing
 r x r matrices we build index blocks, look powers up, and multiply.
-Products go through float64 BLAS when the exact-integer range allows it
-(everything here stays far below 2^53), otherwise chunked int64.
+Products go through float64 BLAS when every partial sum stays below
+2^53, where doubles are exact, and through Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,11 @@ _EXACT = float(1 << 53)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p, exact.  a, b small nonnegative int64 matrices."""
+    """(a @ b) mod p, exact, for int64 matrices and p < 2^63.
+
+    float64 BLAS when amax * bmax * inner < 2^53 bounds every partial
+    sum; else Python integers, which cannot wrap.
+    """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     inner = a.shape[-1]
@@ -24,8 +28,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if amax * bmax * inner < _EXACT:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return np.mod(prod, p).astype(np.int64)
-    out = (a @ b) % p  # int64 path; caller guarantees no overflow per chunk
-    return out
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 def power_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Exhaustive degree censuses over sign vectors.
 
-full_census counts degrees over all 2^r sign vectors by the
-meet-in-the-middle join of _kernels.  The coefficient vector splits as
-c = A(low signs) + B(high signs); the top j coefficients of a vector
-vanish exactly when its A and -B rows agree on those j columns, so one
-sort of both 2^(r/2)-row tables and the runs of rows that agree on
-their top j columns give, for every j, the number Z_j of vectors whose
-top j coefficients vanish, and degree r-1-j is hit Z_j - Z_{j+1} times.
-Shards are ranges of Gray-code indices.  The same join over one column
-counts vanishing half sums (fourier.count_vanishing_bruteforce).
-family_census tallies degrees over the 2^d alternating-periodic
-subfamily, where orthogonality collapses the coefficients to d
-residue-class positions and the whole job becomes one (2^d x d) modular
-matrix product.
+Every count here is the meet-in-the-middle join of _kernels.  The
+coefficient vector splits as c = A(low signs) + B(high signs); the top j
+coefficients of a vector vanish exactly when its A and -B rows agree on
+those j columns, so one sort of both 2^(r/2)-row tables and the runs of
+rows that agree on their top j columns give, for every j, the number Z_j
+of vectors whose top j coefficients vanish, and degree r-1-j is hit
+Z_j - Z_{j+1} times.  Shards are ranges of Gray-code indices.
+
+full_census joins the r coefficients.  family_census joins the d
+coefficients that the alternating-periodic subfamily can reach:
+orthogonality leaves only one residue class of positions mod r/d.  The
+same join over one column counts vanishing half sums
+(fourier.count_vanishing_bruteforce), and over one column per ell it
+lists the joint vanishing set of orbit_divisibility_check.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, _modmat, fourier
-from .errors import (InvalidDivisor, RangeOutOfBounds, SqrtPolyError, TooLarge,
-                     ValidationError)
+from .errors import InvalidDivisor, SqrtPolyError, TooLarge, ValidationError
 from .field import FieldCtx
 from .signs import SignVector, orbit_stats
 
@@ -110,19 +110,13 @@ def _delta_table(ctx: FieldCtx) -> np.ndarray:
 
 def _seed_coeffs(ctx: FieldCtx, word: int) -> np.ndarray:
     """Coefficient vector of the sign vector with bits word (set bit: -1)."""
-    signs = 1 - 2 * ((word >> np.arange(ctx.r, dtype=np.int64)) & 1)
-    return _modmat.signed_dft(ctx, signs)[0].copy()
+    return _modmat.signed_dft(ctx, SignVector(word, ctx.r).signs())[0].copy()
 
 
 def _check_cap(ctx: FieldCtx, max_r: int | None):
     cap = census_cap(max_r)
     if ctx.r > cap:
         raise TooLarge(f"r = {ctx.r} exceeds census cap {cap}")
-
-
-def _shard_bounds(r: int, index: int, count: int) -> tuple[int, int]:
-    total = 1 << r
-    return total * index // count, total * (index + 1) // count
 
 
 def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
@@ -140,7 +134,8 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
     tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
     hist = np.zeros(r + 1, dtype=np.int64)
     for i in range(shards):
-        hist += _kernels.range_hist(tables, ctx.p, *_shard_bounds(r, i, shards))
+        lo, hi = _kernels.shard_range(r, i, shards)
+        hist += _kernels.range_hist(tables, ctx.p, lo, hi)
     out = DegreeHistogram(_hist_to_counts(hist),
                           {"p": ctx.p, "s": ctx.s, "q": ctx.q,
                            "family": "all", "shards": shards})
@@ -153,9 +148,7 @@ def census_shard(ctx: FieldCtx, index: int, count: int,
                  max_r: int | None = None) -> DegreeHistogram:
     """Degree histogram of shard index of count, as full_census splits it."""
     _check_cap(ctx, max_r)
-    if not 0 <= index < count:
-        raise RangeOutOfBounds(f"shard {index}/{count}: need 0 <= i < N")
-    lo, hi = _shard_bounds(ctx.r, index, count)
+    lo, hi = _kernels.shard_range(ctx.r, index, count)
     tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
     hist = _kernels.range_hist(tables, ctx.p, lo, hi)
     return DegreeHistogram(_hist_to_counts(hist),
@@ -184,54 +177,55 @@ def _check_family_divisor(ctx: FieldCtx, d: int):
         raise InvalidDivisor(f"r/d = {ctx.r // d} must be odd")
 
 
-def family_census(ctx: FieldCtx, d: int, chunk: int = 1 << 16,
+def family_census(ctx: FieldCtx, d: int,
                   max_r: int | None = None) -> DegreeHistogram:
     """Degree histogram over the 2^d block-sign choices of the order-d family.
 
     Orthogonality puts all nonzero coefficients in one residue class mod
     D, so only d coefficients c_{k_t} need computing, and
-    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  d is capped like r in
-    full_census: max_r, else SQRTPOLY_CAP_R, else DEFAULT_CENSUS_CAP.
+    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  Their columns go in
+    ascending degree, so the join's top column is the highest degree.
+    d is capped like r in full_census: max_r, else SQRTPOLY_CAP_R, else
+    DEFAULT_CENSUS_CAP.
     """
     _check_family_divisor(ctx, d)
     cap = census_cap(max_r)
     if d > cap:
         raise TooLarge(f"d = {d} exceeds cap {cap}")
     p = ctx.p
-    k_ts = family_admissible_degrees(ctx, d)  # descending
-    ys = np.arange(d, dtype=np.int64)
-    exps = (1 - 2 * np.asarray(k_ts, dtype=np.int64)) % (p - 1)
-    z = _modmat.power_block(ctx, ys, exps)  # (d, d)
-    inv_d = pow(d, -1, p)
-    counts: dict[int, int] = {}
-    total = 1 << d
-    k_arr = np.asarray(k_ts, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        words = np.arange(lo, hi, dtype=np.int64)
-        bits = (words[:, None] >> ys[None, :]) & 1
-        signs = 1 - 2 * bits
-        c = _modmat.matmul_mod(signs, z, p) * inv_d % p
-        nz = c != 0
-        if not nz.any(axis=1).all():
-            raise SqrtPolyError("family census counted the zero polynomial, "
-                                "which no family member gives")
-        first = nz.argmax(axis=1)
-        degs, cnt = np.unique(k_arr[first], return_counts=True)
-        for deg, n in zip(degs, cnt):
-            counts[int(deg)] = counts.get(int(deg), 0) + int(n)
-    out = DegreeHistogram(counts, {"p": ctx.p, "s": ctx.s, "q": ctx.q,
-                                   "family": f"alt-{d}", "shards": 1})
-    if out.total != total:
-        raise SqrtPolyError(f"family census counted {out.total} of {total} members")
-    return out
+    degs = family_admissible_degrees(ctx, d)[::-1]  # ascending
+    exps = (1 - 2 * np.asarray(degs, dtype=np.int64)) % (p - 1)
+    w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64), exps)
+    tables = _kernels.half_tables(w * pow(d, -1, p) % p, p)
+    hist = _kernels.range_hist(tables, p, 0, 1 << d)
+    if hist[0]:
+        raise SqrtPolyError("family census counted the zero polynomial, "
+                            "which no family member gives")
+    counts = {degs[j]: int(n) for j, n in enumerate(hist[1:]) if n}
+    return DegreeHistogram(counts, {"p": ctx.p, "s": ctx.s, "q": ctx.q,
+                                    "family": f"alt-{d}", "shards": 1})
 
 
 def coefficient_vanish_census(ctx: FieldCtx, k: int) -> int:
     """#{eps : c_k(f_eps) = 0}, by the one-column join (works for any k)."""
-    if ctx.r > DEFAULT_CENSUS_CAP:
-        raise TooLarge(f"r = {ctx.r} exceeds cap {DEFAULT_CENSUS_CAP}")
+    _check_cap(ctx, None)
     return fourier.count_vanishing_bruteforce(ctx, ctx.r, 1 - 2 * k)
+
+
+def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
+    """Sign words (set bit: -1) whose half sums at every ell in ells vanish.
+
+    The half tables carry one column sum_n eps_n gamma^(n ell) per ell; a
+    word vanishes exactly when its A and -B rows agree on all of them.
+    """
+    p, r = ctx.p, ctx.r
+    w = _modmat.power_block(ctx, np.arange(r, dtype=np.int64),
+                            np.asarray(ells, dtype=np.int64) % (p - 1))
+    a, b, half = _kernels.half_tables(w, p)
+    order, src, lcp = _kernels.join_sort(a, (-b) % p, p)
+    runs = _kernels.scan_runs(lcp, src, len(ells))
+    lows, highs = _kernels.run_pairs(order, src, runs)
+    return lows | highs << half
 
 
 def orbit_divisibility_check(ctx: FieldCtx, ells: list[int],
@@ -243,19 +237,11 @@ def orbit_divisibility_check(ctx: FieldCtx, ells: list[int],
     r = ctx.r
     if r > max_r:
         raise TooLarge(f"r = {r} exceeds cap {max_r}")
-    p = ctx.p
-    total = 1 << r
-    mask = np.ones(total, dtype=bool)
-    ns = np.arange(r, dtype=np.int64)
-    words = np.arange(total, dtype=np.int64)
-    signs = (1 - 2 * ((words[:, None] >> ns[None, :]) & 1)).astype(np.int64)
-    for ell in ells:
-        w = ctx.gamma_powers[(ns * (ell % (p - 1))) % (p - 1)]
-        h = _modmat.matmul_mod(signs, w[:, None], p)[:, 0]
-        mask &= h == 0
+    if not ells:
+        raise ValidationError("orbit check needs at least one ell")
     by_order: dict[int, int] = {}
-    for word in words[mask]:
-        o = orbit_stats(SignVector(int(word), r)).order
+    for word in _vanishing_words(ctx, ells).tolist():
+        o = orbit_stats(SignVector(word, r)).order
         by_order[o] = by_order.get(o, 0) + 1
     ok = all(n % o == 0 for o, n in by_order.items())
     return ok, by_order

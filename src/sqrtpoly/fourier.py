@@ -16,8 +16,7 @@ import numpy as np
 
 from . import _kernels, _modmat, poly
 from .errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly, NotCoprime,
-                     PeriodDoesNotDivide, RangeOutOfBounds, TooLarge,
-                     UnresolvedHalfRoot)
+                     PeriodDoesNotDivide, TooLarge, UnresolvedHalfRoot)
 from .field import FieldCtx, legendre, root_of_unity
 from .poly import Poly
 from .signs import SignVector
@@ -159,15 +158,7 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
     if zeta is None:
         zeta = root_of_unity(ctx, 2 * d)
     w = pow(zeta, ell % (2 * d), p)
-    total = 1 << d
-    if shard is None:
-        lo, hi = 0, total
-    else:
-        idx, nshards = shard
-        if not (0 <= idx < nshards):
-            raise RangeOutOfBounds(f"shard {idx}/{nshards}: need 0 <= i < N")
-        lo = total * idx // nshards
-        hi = total * (idx + 1) // nshards
+    lo, hi = (0, 1 << d) if shard is None else _kernels.shard_range(d, *shard)
     if lo >= hi:
         return 0
     powers = np.array([[pow(w, n, p)] for n in range(d)], dtype=np.int64)

@@ -19,7 +19,6 @@ from .errors import (CancellationImpossible, LevelOutOfRange, TooLarge,
                      WrongResidue)
 from .field import FieldCtx, root_of_unity
 from .poly import Poly, is_sqrt_poly, monomial
-from .ts import shift_family
 
 SEARCH_CAP = 26  # max (p-1)/4
 DEFAULT_PAIR_CAP = 10 ** 6
@@ -31,7 +30,6 @@ class LevelFamily:
     block: int
     modulus: int  # M_k = 2^k * q
     members: np.ndarray  # (2^{M_k}, M_k), each row a poly of degree < M_k
-    order_tag: str = "unsorted"
 
     def member_poly(self, ctx: FieldCtx, idx: int) -> Poly:
         return poly.from_coeffs(ctx, [int(v) for v in self.members[idx]])
@@ -72,14 +70,8 @@ def _base_members(ctx: FieldCtx) -> np.ndarray:
         v = v * zd % p
     m = (q + 1) // 2
     ns = np.arange(q, dtype=np.int64)
-    z = zpow[(ns[:, None] * ((m - np.arange(q, dtype=np.int64)[None, :]) % q)) % q]
-    inv_q = pow(q, -1, p)
-    words = np.arange(1 << q, dtype=np.int64)
-    signs = 1 - 2 * ((words[:, None] >> ns[None, :]) & 1)
-    from ._modmat import matmul_mod
-
-    c = matmul_mod(signs, z, p) * inv_q % p
-    return c.astype(_storage_dtype(p))
+    z = zpow[(ns[:, None] * ((m - ns[None, :]) % q)) % q]
+    return _kernels.sign_table(z * pow(q, -1, p) % p, p).astype(_storage_dtype(p))
 
 
 def _shift_members(ctx: FieldCtx, members: np.ndarray, i: int) -> np.ndarray:
@@ -153,25 +145,6 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     return LevelFamily(level=k, block=i, modulus=m, members=members)
 
 
-def _pair_rows(order: np.ndarray, src: np.ndarray, starts: np.ndarray,
-               b_first: np.ndarray, nb: np.ndarray, n_pairs: np.ndarray,
-               n_a: int, want: int):
-    """Family rows (a, b) of the first ``want`` minimizing pairs.
-
-    Runs come in order, and a run pairs each of its a rows, in order, with
-    each of its b rows, in order; ``b_first`` counts the b rows before each
-    run's start.  Pair t of a run of nb b rows is (t // nb, t % nb).
-    """
-    upto = np.cumsum(n_pairs)  # pairs in the runs up to each run
-    t = np.arange(min(want, int(upto[-1])), dtype=np.int64)
-    g = np.searchsorted(upto, t, side="right")  # the run of each pair
-    t -= upto[g] - n_pairs[g]
-    a_rows, b_rows = order[src == 0], order[src == 1] - n_a
-    a_at = a_rows[starts[g] - b_first[g] + t // nb[g]]
-    b_at = b_rows[b_first[g] + t % nb[g]]
-    return a_at, b_at
-
-
 def _glue_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """glue_pair(a[t], b[t]) onto block 0 (alpha = 1) for every row pair t."""
     p = ctx.p
@@ -210,14 +183,13 @@ def minimal_search(ctx: FieldCtx,
 
     # a run of rows whose top `best` coefficients agree, na of them from a
     # and nb from b, holds na * nb minimizing pairs
-    starts, b_first, na, nb = _kernels.scan_runs(lcp, src, best)
-    n_pairs = na * nb
-    minimizer_count = int(n_pairs.sum())
+    runs = _kernels.scan_runs(lcp, src, best)
+    _, _, na, nb = runs
+    minimizer_count = int(na @ nb)
     count_only = minimizer_count > pair_cap
 
     want = keep_representatives if keep_representatives is not None else pair_cap
-    a_at, b_at = _pair_rows(order, src, starts, b_first, nb, n_pairs,
-                            len(fam_a), max(want, 0))
+    a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
     glued = _glue_rows(ctx, fam_a[a_at], fam_b[b_at])
     min_degree = m + (m - 1 - best)
     assert min_degree >= -(-(ctx.p - 1) // 3), "(p-1)/3 lower bound violated"

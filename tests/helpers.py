@@ -1,7 +1,8 @@
 """Independent little oracles used to cross-check the library.
 
 Everything here is deliberately naive (Lagrange interpolation, direct
-sums, Gray-code walks) so that agreement with the fast paths actually means something.
+sums, Gray-code walks, dense sign matrices) so that agreement with the
+fast paths actually means something.
 """
 
 
@@ -154,3 +155,50 @@ def gray_walk_vanishing(ctx, d, ell, lo, hi, zeta=None):
         h = (h - 2 * w[n] if to_minus else h + 2 * w[n]) % p
         count += h == 0
     return count
+
+
+def _dense_sign_rows(d):
+    """(words, +-1 sign rows) of all 2^d sign words, 2^16 words at a time."""
+    import numpy as np
+
+    bits = np.arange(d, dtype=np.int64)
+    for lo in range(0, 1 << d, 1 << 16):
+        words = np.arange(lo, min(lo + (1 << 16), 1 << d), dtype=np.int64)
+        yield words, 1 - 2 * ((words[:, None] >> bits) & 1)
+
+
+def dense_family_census(ctx, d):
+    """{degree: count} over the 2^d members of the order-d family.
+
+    Every block-sign word's d admissible coefficients, by one int64
+    product per chunk of words; the degree is the first nonzero one.
+    """
+    import numpy as np
+
+    from sqrtpoly import census
+
+    p = ctx.p
+    k_ts = census.family_admissible_degrees(ctx, d)  # descending
+    ys = np.arange(d, dtype=np.int64)
+    z = ctx.gamma_powers[ys[:, None] * (1 - 2 * np.array(k_ts)) % (p - 1)]
+    counts = {}
+    for _, signs in _dense_sign_rows(d):
+        c = (signs @ z) % p
+        nz = c != 0
+        assert nz.any(axis=1).all(), "a member with no nonzero coefficient"
+        for k in np.array(k_ts)[nz.argmax(axis=1)].tolist():
+            counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def dense_vanishing_words(ctx, ells):
+    """Sorted sign words eps with sum_n eps_n gamma^(n ell) = 0 for every ell."""
+    import numpy as np
+
+    p, r = ctx.p, ctx.r
+    ns = np.arange(r, dtype=np.int64)
+    w = ctx.gamma_powers[ns[:, None] * (np.array(ells) % (p - 1)) % (p - 1)]
+    out = []
+    for words, signs in _dense_sign_rows(r):
+        out += words[((signs @ w) % p == 0).all(axis=1)].tolist()
+    return out

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from sqrtpoly import census, fourier, make_field_ctx
+from sqrtpoly import _kernels, census, fourier, make_field_ctx
 from sqrtpoly.census import DegreeHistogram, family_census, full_census
-from sqrtpoly.errors import (InvalidDivisor, SqrtPolyError, TooLarge,
-                             ValidationError)
-from sqrtpoly.signs import SignVector
+from sqrtpoly.errors import (InvalidDivisor, RangeOutOfBounds, SqrtPolyError,
+                             TooLarge, ValidationError)
+from sqrtpoly.signs import SignVector, orbit_stats
 
 from .fixtures import ALL_COUNTS, TS_COUNTS
-from .helpers import gray_walk_census
+from .helpers import (dense_family_census, dense_vanishing_words,
+                      gray_walk_census)
 
 
 def brute_degree_counts(ctx):
@@ -40,7 +41,7 @@ def test_census_shard_matches_gray_walk(ctx29):
     # every shard of an uneven split, against the Gray walk over its range
     merged = DegreeHistogram({})
     for i in range(7):
-        lo, hi = census._shard_bounds(ctx29.r, i, 7)
+        lo, hi = _kernels.shard_range(ctx29.r, i, 7)
         part = census.census_shard(ctx29, i, 7)
         assert part.counts == census._hist_to_counts(
             np.array(gray_walk_census(ctx29, lo, hi))), i
@@ -64,7 +65,7 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
     monkeypatch.setattr(census._kernels, "join_sort", spy)
     census.census_shard(ctx29, 1, 4)
     assert joined == [(128, 32)]
-    with pytest.raises(census.RangeOutOfBounds):
+    with pytest.raises(RangeOutOfBounds):
         census.census_shard(ctx29, 4, 4)
 
 
@@ -116,10 +117,14 @@ def test_family_census_reference_values():
         assert hist.counts == TS_COUNTS[p]
 
 
-def test_family_census_chunking(ctx41):
-    a = family_census(ctx41, 4, chunk=3)
-    b = family_census(ctx41, 4)
-    assert a.counts == b.counts == TS_COUNTS[41]
+def test_family_census_against_dense_oracle():
+    # every admissible d <= 20, against a product over every member
+    for p in (13, 17, 29, 37, 41, 97, 113):
+        ctx = make_field_ctx(p)
+        for d in range(1, 21):
+            if ctx.r % d == 0 and (ctx.r // d) % 2 == 1:
+                hist = family_census(ctx, d)
+                assert hist.counts == dense_family_census(ctx, d), (p, d)
 
 
 def test_family_census_errors(ctx13):
@@ -155,6 +160,12 @@ def test_coefficient_vanish_census(ctx13):
         assert census.coefficient_vanish_census(ctx13, k) == want
 
 
+def test_coefficient_vanish_census_cap_from_env(monkeypatch, ctx13):
+    monkeypatch.setenv(census.CAP_ENV_VAR, "5")
+    with pytest.raises(TooLarge):
+        census.coefficient_vanish_census(ctx13, 0)  # r = 6
+
+
 def test_orbit_divisibility(ctx13):
     ok, by_order = census.orbit_divisibility_check(ctx13, [1])
     assert ok
@@ -162,6 +173,45 @@ def test_orbit_divisibility(ctx13):
         ctx13, ctx13.r, 1)
     with pytest.raises(TooLarge):
         census.orbit_divisibility_check(make_field_ctx(53), [1])
+    with pytest.raises(ValidationError):
+        census.orbit_divisibility_check(ctx13, [])
+
+
+def test_orbit_divisibility_against_dense_oracle():
+    for p in (13, 29, 37):
+        ctx = make_field_ctx(p)
+        for ells in ([1], [1, 3], [5]):
+            words = dense_vanishing_words(ctx, ells)
+            assert sorted(census._vanishing_words(ctx, ells).tolist()) == words
+            want = {}
+            for w in words:
+                o = orbit_stats(SignVector(w, ctx.r)).order
+                want[o] = want.get(o, 0) + 1
+            ok, by_order = census.orbit_divisibility_check(ctx, ells)
+            assert by_order == want, (p, ells)
+            assert ok == all(n % o == 0 for o, n in want.items())
+
+
+def test_orbit_divisibility_joins_half_tables(monkeypatch):
+    # r = 23: the 2^11 low and 2^12 high rows are joined, and nothing of
+    # 2^23 rows is built
+    ctx = make_field_ctx(47)
+    joined = []
+    real = census._kernels.join_sort
+
+    def spy(a, b, p):
+        joined.append((len(a), len(b)))
+        return real(a, b, p)
+
+    monkeypatch.setattr(census._kernels, "join_sort", spy)
+    census.orbit_divisibility_check(ctx, [1, 3])
+    assert joined == [(1 << 11, 1 << 12)]
+    words = census._vanishing_words(ctx, [1, 3]).tolist()
+    assert len(words) == len(set(words)) > 0
+    specs = [fourier.half_sum_spec(ctx, ctx.r, ell) for ell in (1, 3)]
+    for w in words:
+        eps = SignVector(w, ctx.r)
+        assert all(fourier.half_sum(spec, eps, ctx.p) == 0 for spec in specs), w
 
 
 def test_shard_drift_detector(monkeypatch, ctx13):

@@ -216,4 +216,5 @@ def test_entry_point_subprocess():
                           "13", "--format", "json"],
                          capture_output=True, text=True)
     assert out.returncode == 0
+    assert out.stderr == ""
     assert json.loads(out.stdout)["r"] == 6

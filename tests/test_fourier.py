@@ -155,6 +155,15 @@ def test_bruteforce_exact_at_a_31_bit_prime():
         assert got == gray_walk_vanishing(ctx, 21, ell, lo, hi), ell
 
 
+def test_bruteforce_exact_at_a_61_bit_prime():
+    # p = 2^61 - 1: half sums of eleven terms near 2^61 exceed int64, so
+    # the half tables take the exact Python-integer product
+    ctx = make_field_ctx((1 << 61) - 1)
+    lo, hi = 3 << 15, 4 << 15  # shard 3 of 64 at d = 21
+    got = fourier.count_vanishing_bruteforce(ctx, 21, 1, (3, 64))
+    assert got == gray_walk_vanishing(ctx, 21, 1, lo, hi) == 2
+
+
 def test_bruteforce_root_choice_independent(ctx13):
     # |V_{d,ell}| cannot depend on which primitive 2d-th root is used
     p = ctx13.p
