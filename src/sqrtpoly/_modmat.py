@@ -1,10 +1,12 @@
 """Vectorized modular linear algebra shared by poly/fourier/census/search.
 
-The workhorse is a blocked "power-table lookup" scheme: entries of the
-transform matrices are gamma^(i*j mod p-1), so instead of materializing
-r x r matrices we build index blocks, look powers up, and multiply.
-Products go through float64 BLAS when every partial sum stays below
-2^53, where doubles are exact, and through Python integers otherwise.
+Every sign <-> coefficient transform and every square-root check is one
+routine, power_sums: sums sum_n rows[i, n] * gamma^(n * exps[k]) over
+F_p, exactly.  It looks the powers up in a table (power_block) built only
+for the columns n that some row uses, a block of exps at a time, and
+multiplies by matmul_mod.  Products go through float64 BLAS when every
+partial sum stays below 2^53, where doubles are exact, and through
+Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 _EXACT = float(1 << 53)
+_BLOCK_ENTRIES = 1 << 21  # power-table entries built at a time
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -37,38 +40,34 @@ def power_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return ctx.gamma_powers[idx]
 
 
-def eval_on_squares(ctx, coeff_rows: np.ndarray, block: int = 1024) -> np.ndarray:
-    """Evaluate polynomials (rows of coeffs, length r) at all points gamma^(2n).
+def power_sums(ctx, rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """out[i, k] = sum_n rows[i, n] * gamma^(n * exps[k]) mod p, in [0, p).
 
-    Returns a (m, r) array with entry [i, n] = f_i(gamma^(2n)) mod p.
+    rows: (m, width) integers; a 1-d row is taken as one row.  Columns n
+    that are zero in every row add nothing, so the power table has a row
+    only for the others, and it is built for as many exps at a time as
+    keep it within _BLOCK_ENTRIES entries.
     """
-    p, r = ctx.p, ctx.r
-    coeff_rows = np.atleast_2d(np.asarray(coeff_rows, dtype=np.int64))
-    m = coeff_rows.shape[0]
-    out = np.empty((m, r), dtype=np.int64)
-    js = np.arange(r, dtype=np.int64)
-    for lo in range(0, r, block):
-        ns = np.arange(lo, min(lo + block, r), dtype=np.int64)
-        v = power_block(ctx, js, 2 * ns)  # (r, block): gamma^(2nj)
-        out[:, lo:lo + len(ns)] = matmul_mod(coeff_rows, v, p)
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    exps = np.asarray(exps, dtype=np.int64)
+    ns = np.flatnonzero(rows.any(axis=0))
+    out = np.zeros((rows.shape[0], len(exps)), dtype=np.int64)
+    if not len(ns):
+        return out
+    used = rows[:, ns]
+    step = max(1, _BLOCK_ENTRIES // len(ns))
+    for lo in range(0, len(exps), step):
+        table = power_block(ctx, ns, exps[lo:lo + step])
+        out[:, lo:lo + step] = matmul_mod(used, table, ctx.p)
     return out
 
 
-def signed_dft(ctx, sign_rows: np.ndarray, block: int = 1024) -> np.ndarray:
-    """Coefficient vectors c_k = (1/r) sum_n eps_n gamma^(n(1-2k)) for each row.
+def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:
+    """[i, n] = f_i(gamma^(2n)) mod p for the polynomials f_i (rows of coeffs)."""
+    return power_sums(ctx, coeff_rows, 2 * np.arange(ctx.r, dtype=np.int64))
 
-    sign_rows: (m, r) of +-1.  Returns (m, r) int64 in [0, p).
-    """
-    p, r = ctx.p, ctx.r
-    sign_rows = np.atleast_2d(np.asarray(sign_rows, dtype=np.int64))
-    m = sign_rows.shape[0]
-    inv_r = pow(r, -1, p)
-    out = np.empty((m, r), dtype=np.int64)
-    ns = np.arange(r, dtype=np.int64)
-    for lo in range(0, r, block):
-        ks = np.arange(lo, min(lo + block, r), dtype=np.int64)
-        t = (1 - 2 * ks) % (ctx.p - 1)
-        w = power_block(ctx, ns, t)  # (r, block): gamma^(n(1-2k))
-        acc = matmul_mod(sign_rows % p, w, p)
-        out[:, lo:lo + len(ks)] = acc * inv_r % p
-    return out
+
+def signed_dft(ctx, sign_rows: np.ndarray) -> np.ndarray:
+    """Coefficient vectors c_k = (1/r) sum_n eps_n gamma^(n(1-2k)), rows of +-1."""
+    exps = 1 - 2 * np.arange(ctx.r, dtype=np.int64)
+    return power_sums(ctx, sign_rows, exps) * pow(ctx.r, -1, ctx.p) % ctx.p

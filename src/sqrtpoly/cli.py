@@ -15,8 +15,13 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import fourier, heuristic, poly, search, ts
-from .errors import ResourceCapError, SqrtPolyError, ValidationError
+from .errors import (NotASqrtPoly, ResourceCapError, SqrtPolyError,
+                     ValidationError)
 from .field import make_field_ctx
+
+#: census cap of reproduce-tables: its ALL_Counts column reads skipped:cap
+#: for r above it unless --max-r raises it
+REPRODUCE_MAX_R = 26
 
 
 def _parse_shard(text: str | None):
@@ -179,10 +184,13 @@ def _read_poly(ctx, args):
 def cmd_verify(args):
     ctx = make_field_ctx(args.p)
     f = _read_poly(ctx, args)
-    ok = poly.is_sqrt_poly(ctx, f)
-    payload = {"p": ctx.p, "poly": f.render(), "is_sqrt_poly": ok}
-    if ok:
-        payload["sign_vector"] = fourier.signs_from_poly(ctx, f).render()
+    try:
+        eps = fourier.signs_from_poly(ctx, f)
+    except NotASqrtPoly:
+        eps = None
+    payload = {"p": ctx.p, "poly": f.render(), "is_sqrt_poly": eps is not None}
+    if eps is not None:
+        payload["sign_vector"] = eps.render()
         payload["degree"] = f.degree
     _emit(args, payload)
     return 0
@@ -226,7 +234,7 @@ def _ts_columns(ctx):
 
 
 def reproduce_tables(primes, out_dir: str = ".",
-                     max_census_r: int = 26) -> tuple[str, str]:
+                     max_census_r: int = REPRODUCE_MAX_R) -> tuple[str, str]:
     """Write long_table.csv and ts_table.csv for the given primes."""
     import os
 
@@ -283,8 +291,7 @@ def reproduce_tables(primes, out_dir: str = ".",
 def cmd_reproduce_tables(args):
     primes = [int(x) for x in args.primes.split(",")]
     long_path, ts_path = reproduce_tables(
-        primes, out_dir=args.out or ".",
-        max_census_r=args.max_r if args.max_r is not None else 26)
+        primes, out_dir=args.out or ".", max_census_r=args.max_r)
     sys.stdout.write(f"{long_path}\n{ts_path}\n")
     return 0
 
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce-tables", help="emit the two summary tables")
     sp.add_argument("--primes", required=True, help="comma-separated primes")
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--max-r", type=int, default=None)
+    sp.add_argument("--max-r", type=int, default=REPRODUCE_MAX_R)
     sp.set_defaults(fn=cmd_reproduce_tables)
 
     sp = sub.add_parser("merge", help="merge sharded histogram JSON files")

@@ -61,19 +61,24 @@ def coeffs_from_signs(ctx: FieldCtx, eps: SignVector) -> Poly:
 
 def signs_from_poly(ctx: FieldCtx, f: Poly) -> SignVector:
     """eps_n = f(gamma^(2n)) * gamma^(-n); must be +-1 everywhere."""
-    p, r = ctx.p, ctx.r
-    vals = _modmat.eval_on_squares(ctx, np.asarray(f.coeffs, dtype=np.int64))[0]
-    bits = 0
-    g_inv = pow(ctx.gamma, -1, p)
-    w = 1  # gamma^(-n)
-    for n in range(r):
-        ratio = int(vals[n]) * w % p
-        if ratio == p - 1:
-            bits |= 1 << n
-        elif ratio != 1:
-            raise NotASqrtPoly(f"f(gamma^{2 * n}) / gamma^{n} = {ratio}")
-        w = w * g_inv % p
-    return SignVector(bits, r)
+    ratios = poly.sqrt_ratios(ctx, f)
+    bad = np.flatnonzero((ratios != 1) & (ratios != ctx.p - 1))
+    if len(bad):
+        n = int(bad[0])
+        raise NotASqrtPoly(f"f(gamma^{2 * n}) / gamma^{n} = {ratios[n]}")
+    minus = np.packbits(ratios == ctx.p - 1, bitorder="little")
+    return SignVector(int.from_bytes(minus.tobytes(), "little"), ctx.r)
+
+
+def subgroup_weights(ctx: FieldCtx, d: int) -> np.ndarray:
+    """w[n, k] = zeta_d^(n(m-k)) / d mod p with m = (d+1)/2, for n, k < d.
+
+    c_k = sum_n eps_n w[n, k] are the coefficients of subgroup_coeffs.
+    """
+    m = (d + 1) // 2
+    exps = (m - np.arange(d, dtype=np.int64)) % d * ((ctx.p - 1) // d)
+    w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64), exps)
+    return w * pow(d, -1, ctx.p) % ctx.p
 
 
 def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
@@ -89,20 +94,8 @@ def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
         raise UnresolvedHalfRoot("even-order subgroups have no canonical branch")
     if eps.d != d:
         raise LengthMismatch(f"eps length {eps.d} != d = {d}")
-    p = ctx.p
-    zd = root_of_unity(ctx, d)
-    inv_d = pow(d, -1, p)
-    m = (d + 1) // 2
-    out = [0] * d
-    for k in range(d):
-        w = pow(zd, (m - k) % d, p)
-        acc = 0
-        cur = 1  # zeta_d^(n(m-k))
-        for n in range(d):
-            acc += cur if eps.sign(n) == 1 else -cur
-            cur = cur * w % p
-        out[k] = acc % p * inv_d % p
-    return poly.from_coeffs(ctx, out)
+    c = _modmat.matmul_mod([eps.signs()], subgroup_weights(ctx, d), ctx.p)[0]
+    return poly.from_coeffs(ctx, c.tolist())
 
 
 def periodic_pattern_poly(ctx: FieldCtx, pattern: SignVector) -> Poly:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _modmat
 from .errors import (ContextMismatch, DegreeTooLarge, EqualInputsCancellation,
                      LevelOutOfRange, WrongPartCount)
@@ -124,37 +126,21 @@ def eval_poly(f: Poly, a: int) -> int:
     return acc
 
 
-def _eval_sparse(f: Poly, a: int) -> int:
-    p = f.ctx.p
-    return sum(c * pow(a, k, p) for k, c in f.sparse()) % p
+def sqrt_ratios(ctx: FieldCtx, f: Poly) -> np.ndarray:
+    """f(gamma^(2n)) * gamma^(-n) mod p for every n < r.
+
+    f is a square-root polynomial exactly when every entry is 1 or p - 1,
+    and then the entries are its signs eps_n mod p.
+    """
+    vals = _modmat.eval_on_squares(ctx, f.coeffs)[0]
+    ns = np.arange(ctx.r, dtype=np.int64)
+    return vals * ctx.gamma_powers[-ns % (ctx.p - 1)] % ctx.p
 
 
 def is_sqrt_poly(ctx: FieldCtx, f: Poly) -> bool:
     """True iff f(a)^2 = a for every quadratic residue a."""
-    p, r, g = ctx.p, ctx.r, ctx.gamma
-    nnz = sum(1 for c in f.coeffs if c)
-    if r > 512 and nnz > 8:
-        import numpy as np
-
-        vals = _modmat.eval_on_squares(ctx, np.asarray(f.coeffs, dtype=np.int64))[0]
-        ns = np.arange(r, dtype=np.int64)
-        targets = ctx.gamma_powers[(2 * ns) % (p - 1)]
-        return bool(np.all(vals * vals % p == targets))
-    g2 = g * g % p
-    a = 1
-    if nnz <= 8:
-        for _ in range(r):
-            v = _eval_sparse(f, a)
-            if v * v % p != a:
-                return False
-            a = a * g2 % p
-    else:
-        for _ in range(r):
-            v = eval_poly(f, a)
-            if v * v % p != a:
-                return False
-            a = a * g2 % p
-    return True
+    ratios = sqrt_ratios(ctx, f)
+    return bool(np.all((ratios == 1) | (ratios == ctx.p - 1)))
 
 
 def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:

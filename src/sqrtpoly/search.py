@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, poly
-from .errors import (CancellationImpossible, LevelOutOfRange, TooLarge,
-                     WrongResidue)
-from .field import FieldCtx, root_of_unity
+from . import _kernels, fourier, poly
+from .errors import (CancellationImpossible, LevelOutOfRange, SqrtPolyError,
+                     TooLarge, WrongResidue)
+from .field import FieldCtx
 from .poly import Poly, is_sqrt_poly, monomial
+from .ts import shift_scales
 
 SEARCH_CAP = 26  # max (p-1)/4
 DEFAULT_PAIR_CAP = 10 ** 6
@@ -62,23 +63,14 @@ def _base_members(ctx: FieldCtx) -> np.ndarray:
     p, q = ctx.p, ctx.q
     if q > SEARCH_CAP:
         raise TooLarge(f"q = {q} exceeds search cap {SEARCH_CAP}")
-    zd = root_of_unity(ctx, q)
-    zpow = np.empty(q, dtype=np.int64)
-    v = 1
-    for j in range(q):
-        zpow[j] = v
-        v = v * zd % p
-    m = (q + 1) // 2
-    ns = np.arange(q, dtype=np.int64)
-    z = zpow[(ns[:, None] * ((m - ns[None, :]) % q)) % q]
-    return _kernels.sign_table(z * pow(q, -1, p) % p, p).astype(_storage_dtype(p))
+    weights = fourier.subgroup_weights(ctx, q)
+    return _kernels.sign_table(weights, p).astype(_storage_dtype(p))
 
 
 def _shift_members(ctx: FieldCtx, members: np.ndarray, i: int) -> np.ndarray:
     """Column scaling realizing f |-> gamma^i f(gamma^(-2i) x)."""
     p = ctx.p
-    js = np.arange(members.shape[1], dtype=np.int64)
-    scales = ctx.gamma_powers[(i - 2 * i * js) % (p - 1)]
+    scales = shift_scales(ctx, i, members.shape[1])
     out = np.empty_like(members)
     step = max(1, (1 << 20) // members.shape[1])  # rows per int64 chunk
     for r0 in range(0, len(members), step):
@@ -180,6 +172,10 @@ def minimal_search(ctx: FieldCtx,
     best = int(lcp[cross].max())
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
+    min_degree = m + (m - 1 - best)
+    if not -(-(ctx.p - 1) // 3) <= min_degree <= ctx.r - (ctx.q - 1) // 2:
+        raise SqrtPolyError(f"search degree {min_degree} is outside the "
+                            "(p-1)/3 lower and Tonelli-Shanks upper bounds")
 
     # a run of rows whose top `best` coefficients agree, na of them from a
     # and nb from b, holds na * nb minimizing pairs
@@ -191,11 +187,8 @@ def minimal_search(ctx: FieldCtx,
     want = keep_representatives if keep_representatives is not None else pair_cap
     a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
     glued = _glue_rows(ctx, fam_a[a_at], fam_b[b_at])
-    min_degree = m + (m - 1 - best)
-    assert min_degree >= -(-(ctx.p - 1) // 3), "(p-1)/3 lower bound violated"
-    assert min_degree <= ctx.r - (ctx.q - 1) // 2
-    # every representative has degree min_degree
-    assert glued[:, min_degree].all() and not glued[:, min_degree + 1:].any()
+    if not glued[:, min_degree].all() or glued[:, min_degree + 1:].any():
+        raise SqrtPolyError(f"a representative's degree is not {min_degree}")
     reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
     stats = {
         "wall_seconds": round(time.monotonic() - t0, 6),
@@ -217,7 +210,8 @@ def min_degree_direct(ctx: FieldCtx) -> SearchReport:
         raise WrongResidue(f"p = {ctx.p} is 1 mod 4; use minimal_search")
     e = (ctx.p + 1) // 4
     f = monomial(ctx, 1, e)
-    assert is_sqrt_poly(ctx, f)
+    if not is_sqrt_poly(ctx, f):
+        raise SqrtPolyError(f"x^{e} is not a square-root polynomial mod {ctx.p}")
     return SearchReport(min_degree=e, minimizer_count=2,
                         representatives=[f, -f], prefix_length=None,
                         stats={"route": "direct"})

@@ -51,19 +51,20 @@ def block_minimal_poly(ctx: FieldCtx, k: int) -> Poly:
     return poly.monomial(ctx, coeff, (ctx.q + 1) // 2)
 
 
-def shift_family(ctx: FieldCtx, f0: Poly, i: int, level: int = 0) -> Poly:
+def shift_scales(ctx: FieldCtx, i: int, width: int) -> np.ndarray:
+    """gamma^(i - 2ij) for j < width: the column scales of shift_family."""
+    js = np.arange(width, dtype=np.int64)
+    return ctx.gamma_powers[(i - 2 * i * js) % (ctx.p - 1)]
+
+
+def shift_family(ctx: FieldCtx, f0: Poly, i: int) -> Poly:
     """The block bijection f |-> gamma^i * f(gamma^(-2i) x).
 
     Maps square-root polynomials on S_0^k to ones on S_i^k, uniformly
     across levels (tau = gamma^2, tau^(1/2) = gamma).
     """
-    p = ctx.p
-    g = ctx.gamma
-    out = [0] * ctx.r
-    for j, c in enumerate(f0.coeffs):
-        if c:
-            out[j] = c * pow(g, (i - 2 * i * j) % (p - 1), p) % p
-    return Poly(ctx, out)
+    scaled = np.asarray(f0.coeffs, dtype=np.int64) * shift_scales(ctx, i, ctx.r)
+    return Poly(ctx, (scaled % ctx.p).tolist())
 
 
 def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:

@@ -1,8 +1,8 @@
 """Independent little oracles used to cross-check the library.
 
 Everything here is deliberately naive (Lagrange interpolation, direct
-sums, Gray-code walks, dense sign matrices) so that agreement with the
-fast paths actually means something.
+sums, Gray-code walks, dense sign matrices, per-point Horner checks) so
+that agreement with the fast paths actually means something.
 """
 
 
@@ -201,4 +201,37 @@ def dense_vanishing_words(ctx, ells):
     out = []
     for words, signs in _dense_sign_rows(r):
         out += words[((signs @ w) % p == 0).all(axis=1)].tolist()
+    return out
+
+
+def naive_is_sqrt_poly(ctx, f):
+    """f(a)^2 = a at every a = gamma^(2n), each point by Horner's rule."""
+    p = ctx.p
+    g2 = ctx.gamma * ctx.gamma % p
+    a = 1
+    for _ in range(ctx.r):
+        v = 0
+        for c in reversed(f.coeffs):
+            v = (v * a + c) % p
+        if v * v % p != a:
+            return False
+        a = a * g2 % p
+    return True
+
+
+def naive_subgroup_coeffs(ctx, d, signs):
+    """c_k = (1/d) sum_n eps_n zeta_d^(n(m-k)), m = (d+1)/2, by a double loop."""
+    p = ctx.p
+    zd = pow(ctx.gamma, (p - 1) // d, p)
+    inv_d = pow(d, -1, p)
+    m = (d + 1) // 2
+    out = []
+    for k in range(d):
+        w = pow(zd, (m - k) % d, p)
+        acc = 0
+        cur = 1  # zeta_d^(n(m-k))
+        for s in signs:
+            acc += s * cur
+            cur = cur * w % p
+        out.append(acc % p * inv_d % p)
     return out

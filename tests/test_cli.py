@@ -176,6 +176,18 @@ def test_verify_poly_file(capsys, tmp_path):
     assert obj["is_sqrt_poly"] is True and obj["degree"] == 17
 
 
+def test_verify_evaluates_once(capsys, monkeypatch):
+    from sqrtpoly import _modmat
+    calls = []
+    evaluate = _modmat.eval_on_squares
+    monkeypatch.setattr(_modmat, "eval_on_squares",
+                        lambda *a: calls.append(1) or evaluate(*a))
+    for coeffs, ok in ((P41_MINIMAL, True), ([1, 2], False)):
+        calls.clear()
+        obj = run_json(capsys, ["verify", "--p", "41", "--poly", json.dumps(coeffs)])
+        assert obj["is_sqrt_poly"] is ok and len(calls) == 1
+
+
 def test_decompose(capsys):
     rc = cli.main(["decompose", "--p", "41", "--poly", json.dumps(P41_MINIMAL)])
     out = capsys.readouterr().out
@@ -193,6 +205,11 @@ def test_exit_code_resource_cap(monkeypatch):
     assert cli.main(["census", "--p", "67"]) == 3
     monkeypatch.setenv("SQRTPOLY_CAP_R", "4")
     assert cli.main(["census", "--p", "13"]) == 3
+
+
+def test_reproduce_tables_cap_default():
+    args = cli.build_parser().parse_args(["reproduce-tables", "--primes", "13"])
+    assert args.max_r == cli.REPRODUCE_MAX_R == 26
 
 
 def test_reproduce_tables(tmp_path):

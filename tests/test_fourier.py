@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from sqrtpoly import fourier, make_field_ctx, poly
+from sqrtpoly import fourier, make_field_ctx, poly, search
 from sqrtpoly.errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly,
                              NotCoprime, PeriodDoesNotDivide, RangeOutOfBounds,
                              TooLarge, UnresolvedHalfRoot)
 from sqrtpoly.field import root_of_unity
 from sqrtpoly.signs import SignVector, from_signs
 
-from .helpers import gray_walk_vanishing, lagrange_interpolate, naive_half_sum
+from .helpers import (gray_walk_vanishing, lagrange_interpolate, naive_half_sum,
+                      naive_subgroup_coeffs)
 
 
 def test_half_sum_against_oracle(ctx29):
@@ -84,6 +85,28 @@ def test_subgroup_coeffs(ctx41):
             want = eps.sign(n) * pow(zd, n * m, p) % p
             assert poly.eval_poly(g, a) == want
             assert pow(want, 2, p) == a  # it really is a square root
+
+
+@pytest.mark.parametrize("p", [41, 97])
+def test_subgroup_coeffs_against_oracle(p):
+    ctx = make_field_ctx(p)
+    rng = random.Random(p)
+    for d in [d for d in range(1, ctx.r + 1) if ctx.r % d == 0 and d % 2]:
+        for w in {0, (1 << d) - 1, *(rng.getrandbits(d) for _ in range(8))}:
+            eps = SignVector(w, d)
+            want = naive_subgroup_coeffs(ctx, d, eps.signs())
+            assert fourier.subgroup_coeffs(ctx, d, eps).coeffs == \
+                want + [0] * (ctx.r - d)
+
+
+@pytest.mark.parametrize("p", [41, 73])
+def test_base_members_are_subgroup_coeffs(p):
+    ctx = make_field_ctx(p)
+    base = search._base_members(ctx)
+    assert base.shape == (1 << ctx.q, ctx.q)
+    for w, row in enumerate(base.tolist()):
+        f = fourier.subgroup_coeffs(ctx, ctx.q, SignVector(w, ctx.q))
+        assert f.coeffs == row + [0] * (ctx.r - ctx.q)
 
 
 def test_subgroup_coeffs_errors(ctx41, ctx29):

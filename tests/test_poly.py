@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from sqrtpoly import make_field_ctx, poly
+from sqrtpoly import fourier, make_field_ctx, poly, ts
+from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import (ContextMismatch, DegreeTooLarge,
                              EqualInputsCancellation, LevelOutOfRange,
-                             WrongPartCount)
+                             NotASqrtPoly, WrongPartCount)
 from sqrtpoly.poly import (NEG_INF, add, eval_poly, from_coeffs, glue_crt,
                            glue_pair, is_sqrt_poly, monomial, mul_cyclic,
                            scalar_mul, sub)
+from sqrtpoly.signs import SignVector
 
 from .fixtures import (P41_GLUE_HALF_0, P41_GLUE_HALF_1, P41_GLUE_PARTS,
                        P41_GLUE_RESULT, P41_MINIMAL, P41_TS_TABLE)
+from .helpers import naive_is_sqrt_poly
 
 
 def sparse_poly(ctx, d):
@@ -71,10 +74,14 @@ def test_context_mismatch(ctx13, ctx29):
 
 
 def test_eval_paths_agree(ctx41):
+    # Horner at each gamma^(2n) against the one blocked evaluation
     rng = random.Random(1)
-    f = from_coeffs(ctx41, [rng.randrange(41) for _ in range(20)])
-    for a in range(1, 41):
-        assert eval_poly(f, a) == poly._eval_sparse(f, a)
+    fs = [from_coeffs(ctx41, [rng.randrange(41) for _ in range(20)])
+          for _ in range(3)] + [monomial(ctx41, 7, 19), from_coeffs(ctx41, [])]
+    vals = eval_on_squares(ctx41, [f.coeffs for f in fs])
+    for f, row in zip(fs, vals.tolist()):
+        assert row == [eval_poly(f, pow(ctx41.gamma, 2 * n, 41))
+                       for n in range(ctx41.r)]
 
 
 def test_is_sqrt_poly(ctx41):
@@ -104,6 +111,46 @@ def test_is_sqrt_poly_numpy_path():
     bad = list(f.coeffs)
     bad[0] = (bad[0] + 1) % ctx.p
     assert not is_sqrt_poly(ctx, poly.Poly(ctx, bad))
+
+
+def _oracle_cases(ctx, rng):
+    """(polynomial, is it a square-root polynomial) pairs, sparse and dense."""
+    true = [fourier.coeffs_from_signs(ctx, SignVector(rng.getrandbits(ctx.r), ctx.r))
+            for _ in range(2)]
+    if ctx.s >= 2:
+        d = ts.block_count(ctx)
+        true += [ts.ts_polynomial(ctx, ts.TsChoice(SignVector(rng.getrandbits(d), d)))
+                 for _ in range(2)]
+    else:
+        true.append(monomial(ctx, 1, (ctx.p + 1) // 4))
+    cases = []
+    for f in true:
+        bad = list(f.coeffs)
+        k = rng.choice([k for k, c in enumerate(bad) if c])
+        bad[k] = (bad[k] + 1) % ctx.p
+        cases += [(f, True), (poly.Poly(ctx, bad), False)]
+    cases.append((monomial(ctx, 1, 1), False))
+    return cases
+
+
+@pytest.mark.parametrize("p", [13, 41, 1009, 1031])
+def test_is_sqrt_poly_against_oracle(p):
+    # r = 504 at p = 1009 and r = 515 at p = 1031 sit on either side of
+    # the old r > 512 switch between per-point and matrix evaluation
+    ctx = make_field_ctx(p)
+    for f, want in _oracle_cases(ctx, random.Random(p)):
+        assert naive_is_sqrt_poly(ctx, f) is want
+        assert is_sqrt_poly(ctx, f) is want
+        if want:
+            assert fourier.coeffs_from_signs(ctx, fourier.signs_from_poly(ctx, f)) == f
+            continue
+        # the error names the first point where the ratio is not +-1
+        ratios = [eval_poly(f, pow(ctx.gamma, 2 * n, p)) * pow(ctx.gamma, -n, p) % p
+                  for n in range(ctx.r)]
+        n, ratio = next((n, v) for n, v in enumerate(ratios) if v not in (1, p - 1))
+        with pytest.raises(NotASqrtPoly,
+                           match=fr"^f\(gamma\^{2 * n}\) / gamma\^{n} = {ratio}$"):
+            fourier.signs_from_poly(ctx, f)
 
 
 def test_glue_crt_reference_values(ctx41):

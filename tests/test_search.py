@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from sqrtpoly import _kernels, make_field_ctx, poly, search
 from sqrtpoly.census import full_census
-from sqrtpoly.errors import (LevelOutOfRange, NotASqrtPoly, TooLarge,
-                             WrongResidue)
+from sqrtpoly.errors import (LevelOutOfRange, NotASqrtPoly, SqrtPolyError,
+                             TooLarge, WrongResidue)
 from sqrtpoly.poly import eval_poly, from_coeffs, is_sqrt_poly
 from sqrtpoly.search import (build_level, build_level_zero, decompose_tree,
                              min_degree_direct, minimal_search, render_tree)
@@ -178,6 +180,38 @@ def test_min_degree_direct():
         assert is_sqrt_poly(ctx, report.representatives[0])
     with pytest.raises(WrongResidue):
         min_degree_direct(make_field_ctx(13))
+
+
+def test_min_degree_direct_at_a_large_prime():
+    # the direct route checks one monomial at all r = 50001 points
+    ctx = make_field_ctx(100003)
+    t0 = time.perf_counter()
+    report = min_degree_direct(ctx)
+    assert time.perf_counter() - t0 < 5
+    assert report.min_degree == 25001 and report.minimizer_count == 2
+
+
+def test_search_checks_raise(monkeypatch, ctx41):
+    # the result checks are errors, not asserts that python -O removes
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "is_sqrt_poly", lambda ctx, f: False)
+        with pytest.raises(SqrtPolyError, match="not a square-root"):
+            min_degree_direct(make_field_ctx(19))
+    join_sort = _kernels.join_sort
+    # a common prefix of m - 1 gives degree m = 10 < 40/3; of 0, degree
+    # 2m - 1 = 19 above the TS degree 18
+    for prefix in (9, 0):
+        with monkeypatch.context() as mp:
+            def fake_join(a, b, p):
+                order, src, lcp = join_sort(a, b, p)
+                return order, src, np.full_like(lcp, prefix)
+            mp.setattr(_kernels, "join_sort", fake_join)
+            with pytest.raises(SqrtPolyError, match="outside"):
+                minimal_search(ctx41)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_glue_rows", lambda ctx, a, b: np.zeros((len(a), 20)))
+        with pytest.raises(SqrtPolyError, match="degree is not 17"):
+            minimal_search(ctx41)
 
 
 def test_search_report_json(ctx29):

@@ -1,6 +1,6 @@
 import pytest
 
-from sqrtpoly import fourier, make_field_ctx, poly, ts
+from sqrtpoly import fourier, make_field_ctx, search, ts
 from sqrtpoly.errors import BlockOutOfRange, LevelOutOfRange
 from sqrtpoly.poly import eval_poly, is_sqrt_poly
 from sqrtpoly.signs import SignVector, from_signs
@@ -55,6 +55,16 @@ def test_shift_family_moves_blocks(ctx41):
         for a in block_points(ctx41, i):
             v = eval_poly(fi, a)
             assert v * v % ctx41.p == a
+
+
+def test_shift_family_matches_shift_members(ctx41):
+    for k in (0, 1):
+        fam = search.build_level(ctx41, k)
+        for i in (1, 2, 3):
+            rows = search._shift_members(ctx41, fam.members, i).tolist()
+            for w, row in enumerate(rows):
+                fi = ts.shift_family(ctx41, fam.member_poly(ctx41, w), i)
+                assert fi.coeffs == row + [0] * (ctx41.r - fam.modulus)
 
 
 def test_ts_polynomial_table(ctx41):
