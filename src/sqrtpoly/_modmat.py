@@ -1,20 +1,39 @@
 """Vectorized modular linear algebra shared by poly/fourier/census/search.
 
 Every sign <-> coefficient transform and every square-root check is one
-routine, power_sums: sums sum_n rows[i, n] * gamma^(n * exps[k]) over
-F_p, exactly.  It looks the powers up in a table (power_block) built only
-for the columns n that some row uses, a block of exps at a time, and
-multiplies by matmul_mod.  Products go through float64 BLAS when every
-partial sum stays below 2^53, where doubles are exact, and through
-Python integers otherwise.
+number-theoretic transform, ntt: X[i, k] = sum_n rows[i, n] *
+gamma^(e n k) over F_p for k below the row length L, which divides
+p - 1.  It splits L = a * b by the smallest prime factor a
+(Cooley-Tukey, as Pollard carried it to finite fields), so it never
+builds an L x L power table.  A prime length, or rows for which a split
+is estimated to cost more (sparse rows, short rows, or many rows, which
+one BLAS product serves at once), is a leaf: power_sums, the table route,
+sums sum_n rows[i, n] * gamma^(n * exps[k]) from a table (power_block)
+built only for the columns some row uses, a block of exps at a time.
+Products go through matmul_mod: float64 BLAS when every partial sum
+stays below 2^53, where doubles are exact, and Python integers
+otherwise.  A large prime factor of L (Bluestein's case) stays a dense
+leaf.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import OrderDoesNotDivide
+from .field import prime_factors
 
 _EXACT = float(1 << 53)
 _BLOCK_ENTRIES = 1 << 21  # power-table entries built at a time
+# Costs that choose between a leaf and a split of ntt, in float64 BLAS
+# multiply-adds (measured with numpy 2.4 and OpenBLAS on x86-64): one
+# power-table entry, one element of a split level's twiddle product and
+# transposes, and numpy's fixed cost of one level.
+_TABLE_COST = 256
+_LEVEL_COST = 1024
+_SPLIT_COST = 1 << 20
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -30,7 +49,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     bmax = int(np.abs(b).max(initial=0))
     if amax * bmax * inner < _EXACT:
         prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.mod(prod, p).astype(np.int64)
+        return prod.astype(np.int64) % p
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
@@ -62,12 +81,65 @@ def power_sums(ctx, rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cost(factors: list[int], m: int) -> int:
+    """Estimated cost of ntt on m dense rows of length L = prod(factors).
+
+    The cheaper of a leaf, an L x L table times the rows, and a split:
+    its sub-transforms, twiddles and transposes plus a fixed cost.
+    """
+    n = math.prod(factors)
+    leaf = n * n * (_TABLE_COST + m)
+    if len(factors) <= 1:
+        return leaf
+    a = factors[0]
+    split = (_cost(factors[1:], m * a) + a * a * (_TABLE_COST + m * n // a)
+             + m * n * _LEVEL_COST + _SPLIT_COST)
+    return min(leaf, split)
+
+
+def _ntt(ctx, rows: np.ndarray, e: int, factors: list[int]) -> np.ndarray:
+    m, length = rows.shape
+    if (len(factors) <= 1 or np.count_nonzero(rows.any(axis=0)) * length
+            * (_TABLE_COST + m) <= _cost(factors, m)):
+        return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
+    p, a = ctx.p, factors[0]
+    b = length // a
+    # n = n1 + a n2, k = k1 + b k2: b-point transforms of the a decimated
+    # sub-rows, twiddles gamma^(e n1 k1), then a-point transforms
+    sub = rows.reshape(m, b, a).transpose(0, 2, 1).reshape(m * a, b)
+    y = _ntt(ctx, sub, e * a % (p - 1), factors[1:]).reshape(m, a, b)
+    y = y * power_block(ctx, np.arange(a, dtype=np.int64),
+                        e * np.arange(b, dtype=np.int64) % (p - 1)) % p
+    z = _ntt(ctx, y.transpose(0, 2, 1).reshape(m * b, a), e * b % (p - 1), factors[:1])
+    return z.reshape(m, b, a).transpose(0, 2, 1).reshape(m, length)
+
+
+def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
+    """out[i, k] = sum_n rows[i, n] * gamma^(e n k) mod p, in [0, p), k < L.
+
+    rows: (m, L) integers with e * L divisible by p - 1; a 1-d row is
+    taken as one row.  Exact while p^2 < 2^63: each twiddle product of
+    two residues then fits int64, and ctx.gamma_powers refuses larger p
+    with TooLarge before any product is formed.  Every sum goes through
+    matmul_mod.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    length = rows.shape[-1]
+    if e * length % (ctx.p - 1):
+        raise OrderDoesNotDivide(f"gamma^{e} has no order dividing L = {length}")
+    return _ntt(ctx, rows, e % (ctx.p - 1), prime_factors(length))
+
+
 def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:
     """[i, n] = f_i(gamma^(2n)) mod p for the polynomials f_i (rows of coeffs)."""
-    return power_sums(ctx, coeff_rows, 2 * np.arange(ctx.r, dtype=np.int64))
+    return ntt(ctx, coeff_rows, 2)
 
 
 def signed_dft(ctx, sign_rows: np.ndarray) -> np.ndarray:
-    """Coefficient vectors c_k = (1/r) sum_n eps_n gamma^(n(1-2k)), rows of +-1."""
-    exps = 1 - 2 * np.arange(ctx.r, dtype=np.int64)
-    return power_sums(ctx, sign_rows, exps) * pow(ctx.r, -1, ctx.p) % ctx.p
+    """Coefficient vectors c_k = (1/r) sum_n eps_n gamma^(n(1-2k)), rows of +-1.
+
+    That is the transform with e = -2 of the rows eps_n gamma^n.
+    """
+    p = ctx.p
+    rows = np.asarray(sign_rows, dtype=np.int64) * ctx.gamma_powers[:ctx.r]
+    return ntt(ctx, rows, -2) * pow(ctx.r, -1, p) % p

@@ -44,25 +44,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Trial-division factorization; n < 2^31 so this is instant."""
-    out: dict[int, int] = {}
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 in ascending order, with multiplicity.
+
+    Trial division; n < 2^31 here, so this is instant.
+    """
+    out = []
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            out.append(d)
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out.append(n)
     return out
 
 
 def _least_primitive_root(p: int) -> int:
-    prime_factors = list(_factor(p - 1))
+    ells = set(prime_factors(p - 1))
     g = 2
     while True:
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_factors):
+        if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells):
             return g
         g += 1
 
@@ -108,14 +111,24 @@ class FieldCtx:
 
     @cached_property
     def gamma_powers(self):
-        """numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths)."""
+        """numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).
+
+        Built by doubling, out[n:2n] = out[:n] * gamma^n mod p, which is
+        exact in int64 while p^2 < 2^63; larger p raise TooLarge (the
+        table alone would then hold more than 3e9 entries).
+        """
         import numpy as np
 
-        out = np.empty(self.p - 1, dtype=np.int64)
-        v = 1
-        for j in range(self.p - 1):
-            out[j] = v
-            v = v * self.gamma % self.p
+        p = self.p
+        if (p - 1) ** 2 >= 1 << 63:
+            raise TooLarge(f"gamma^j table for p={p}: products of residues overflow int64")
+        out = np.empty(p - 1, dtype=np.int64)
+        out[0] = 1
+        n = 1
+        while n < p - 1:
+            k = min(n, p - 1 - n)
+            out[n:n + k] = out[:k] * pow(self.gamma, n, p) % p
+            n += k
         return out
 
     @cached_property

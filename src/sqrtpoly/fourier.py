@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _kernels, _modmat, poly
 from .errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly, NotCoprime,
-                     PeriodDoesNotDivide, TooLarge, UnresolvedHalfRoot)
+                     PeriodDoesNotDivide, SqrtPolyError, TooLarge,
+                     UnresolvedHalfRoot)
 from .field import FieldCtx, legendre, root_of_unity
 from .poly import Poly
 from .signs import SignVector
@@ -56,7 +57,7 @@ def coeffs_from_signs(ctx: FieldCtx, eps: SignVector) -> Poly:
         raise LengthMismatch(f"eps length {eps.d} != r = {ctx.r}")
     row = np.array(eps.signs(), dtype=np.int64)
     c = _modmat.signed_dft(ctx, row)[0]
-    return Poly(ctx, [int(v) for v in c])
+    return Poly(ctx, c.tolist())
 
 
 def signs_from_poly(ctx: FieldCtx, f: Poly) -> SignVector:
@@ -114,9 +115,10 @@ def periodic_pattern_poly(ctx: FieldCtx, pattern: SignVector) -> Poly:
     f = subgroup_coeffs(ctx, q, ext)
     # sparsity sanity: exponents land in one residue class mod Q
     big_q = q // n_len
-    for k, _c in f.sparse():
-        assert k % big_q == ((q + 1) // 2) % big_q
-    assert len(f.sparse()) <= n_len
+    terms = f.sparse()
+    if len(terms) > n_len or any(k % big_q != (q + 1) // 2 % big_q for k, _c in terms):
+        raise SqrtPolyError(f"pattern polynomial has {len(terms)} terms, not at most "
+                            f"{n_len} at exponents = (q+1)/2 mod {big_q}")
     return f
 
 
@@ -128,7 +130,8 @@ def count_vanishing_formula(ctx: FieldCtx, ell: int) -> int:
     if math.gcd(ell, p - 1) != 1:
         raise NotCoprime(f"gcd({ell}, {p - 1}) != 1; use the brute-force oracle")
     num = (1 << r) + (p - 1) * legendre(2, ctx)
-    assert num % p == 0
+    if num % p:
+        raise SqrtPolyError(f"2^{r} + (p-1)(2/p) is not divisible by p = {p}")
     return num // p
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _modmat
 from .errors import (ContextMismatch, DegreeTooLarge, EqualInputsCancellation,
-                     LevelOutOfRange, WrongPartCount)
+                     LevelOutOfRange, SqrtPolyError, WrongPartCount)
 from .field import FieldCtx
 
 #: degree of the zero polynomial; compares below every real degree
@@ -177,8 +177,8 @@ def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:
             out[j + t * q] = b
             w = w * zeta_inv % p
     result = Poly(ctx, out)
-    if check:
-        assert is_sqrt_poly(ctx, result)
+    if check and not is_sqrt_poly(ctx, result):
+        raise SqrtPolyError("glue_crt result is not a square-root polynomial")
     return result
 
 
@@ -208,5 +208,8 @@ def glue_pair(ctx: FieldCtx, f_i: Poly, f_j: Poly, k: int, i: int,
         out[m + j] = hi * c % p
     result = Poly(ctx, out)
     if check:
-        assert result.degree == m + sub(f_i, f_j).degree
+        want = m + sub(f_i, f_j).degree
+        if result.degree != want:
+            raise SqrtPolyError(f"glue_pair degree {result.degree} is not "
+                                f"M_k + deg(f_i - f_j) = {want}")
     return result

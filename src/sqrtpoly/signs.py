@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 from .errors import LengthMismatch, RangeOutOfBounds
 
 
@@ -23,7 +25,10 @@ class SignVector:
         return -1 if (self.bits >> n) & 1 else 1
 
     def signs(self) -> list[int]:
-        return [self.sign(n) for n in range(self.d)]
+        """[eps_0, ..., eps_{d-1}], read off the bytes of the word at once."""
+        raw = np.frombuffer(self.bits.to_bytes((self.d + 7) // 8, "little"), np.uint8)
+        minus = np.unpackbits(raw, count=self.d, bitorder="little")
+        return (1 - 2 * minus.astype(np.int64)).tolist()
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.bits ^ ((1 << self.d) - 1), self.d)

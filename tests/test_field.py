@@ -1,9 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 
 from sqrtpoly import canonical_sqrt, legendre, make_field_ctx, root_of_unity
 from sqrtpoly.errors import (EvenInput, NotAResidue, NotPrime,
-                             OrderDoesNotDivide)
-from sqrtpoly.field import is_prime
+                             OrderDoesNotDivide, TooLarge)
+from sqrtpoly.field import is_prime, prime_factors
 
 
 @pytest.mark.parametrize("p,s,q,r,gamma", [
@@ -110,3 +113,27 @@ def test_dlog_bsgs_path():
     ctx = make_field_ctx(101, dlog_cap=4)
     for a in (1, 2, 50, 100):
         assert pow(ctx.gamma, ctx.dlog(a), 101) == a
+
+
+@pytest.mark.parametrize("p", [3, 13, 4001, 786433])
+def test_gamma_powers_by_doubling(p):
+    ctx = make_field_ctx(p)
+    g = ctx.gamma_powers
+    assert g.dtype == np.int64 and len(g) == p - 1
+    rng = random.Random(p)
+    js = set(range(min(p - 1, 2000))) | {p - 2} | {rng.randrange(p - 1) for _ in range(500)}
+    assert all(int(g[j]) == pow(ctx.gamma, j, p) for j in js)
+    assert len(np.unique(g)) == p - 1
+
+
+def test_gamma_powers_refuse_int64_overflow():
+    with pytest.raises(TooLarge):
+        make_field_ctx((1 << 61) - 1).gamma_powers
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(2000) == [2, 2, 2, 2, 5, 5, 5]
+    assert prime_factors(393216) == [2] * 17 + [3]
+    assert prime_factors(50001) == [3, 7, 2381]
+    assert prime_factors(2 ** 31 - 1) == [2 ** 31 - 1]

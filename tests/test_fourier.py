@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from sqrtpoly import fourier, make_field_ctx, poly, search
 from sqrtpoly.errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly,
                              NotCoprime, PeriodDoesNotDivide, RangeOutOfBounds,
-                             TooLarge, UnresolvedHalfRoot)
+                             SqrtPolyError, TooLarge, UnresolvedHalfRoot)
 from sqrtpoly.field import root_of_unity
 from sqrtpoly.signs import SignVector, from_signs
 
@@ -216,3 +217,31 @@ def test_vanishing_count_vs_direct_enumeration(ctx13):
         if naive_half_sum(p, zeta, 1, eps.signs()) == 0:
             want += 1
     assert fourier.count_vanishing_bruteforce(ctx13, 6, 1) == want
+
+
+def test_roundtrip_at_a_large_smooth_prime():
+    # r = 3 * 2^17: an r x r power table would hold 1.5e11 entries
+    ctx = make_field_ctx(786433)
+    eps = SignVector(random.Random(1).getrandbits(ctx.r), ctx.r)
+    t0 = time.perf_counter()
+    f = fourier.coeffs_from_signs(ctx, eps)
+    assert poly.is_sqrt_poly(ctx, f)
+    assert fourier.signs_from_poly(ctx, f) == eps
+    assert time.perf_counter() - t0 < 60
+    bad = list(f.coeffs)
+    bad[12345] = (bad[12345] + 1) % ctx.p
+    assert not poly.is_sqrt_poly(ctx, poly.Poly(ctx, bad))
+
+
+def test_periodic_pattern_sparsity_check(monkeypatch):
+    ctx = make_field_ctx(29)
+    monkeypatch.setattr(fourier, "subgroup_coeffs",
+                        lambda ctx, d, eps: poly.from_coeffs(ctx, [1] * d))
+    with pytest.raises(SqrtPolyError, match="terms"):
+        fourier.periodic_pattern_poly(ctx, from_signs([1]))
+
+
+def test_count_vanishing_formula_divisibility_check(monkeypatch, ctx13):
+    monkeypatch.setattr(fourier, "legendre", lambda a, ctx: 0)
+    with pytest.raises(SqrtPolyError, match="not divisible"):
+        fourier.count_vanishing_formula(ctx13, 1)

@@ -2,8 +2,9 @@ import numpy as np
 
 import pytest
 
-from sqrtpoly import _modmat, make_field_ctx
-from sqrtpoly._modmat import matmul_mod, power_sums
+from sqrtpoly import _modmat, make_field_ctx, search
+from sqrtpoly._modmat import matmul_mod, ntt, power_sums
+from sqrtpoly.errors import OrderDoesNotDivide, TooLarge
 
 
 def test_matmul_mod_exact_past_int64():
@@ -59,3 +60,78 @@ def test_power_sums_blocks_agree(monkeypatch, entries):
     rows[:, 5:30] = 0
     exps = rng.integers(-100, 100, 30)
     assert power_sums(ctx, rows, exps).tolist() == _naive_power_sums(ctx, rows, exps)
+
+
+def _dense_rows(ctx, length, seed):
+    """Three rows of entries in (-p, p) with a third of the columns zero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1 - ctx.p, ctx.p, (3, length))
+    rows[:, rng.choice(length, length // 3, replace=False)] = 0
+    return rows
+
+
+@pytest.fixture(params=["estimated", "always"])
+def splits(request, monkeypatch):
+    """ntt's leaf/split choice as estimated, or a split wherever one exists."""
+    if request.param == "always":
+        monkeypatch.setattr(_modmat, "_TABLE_COST", 1 << 40)
+        monkeypatch.setattr(_modmat, "_LEVEL_COST", 0)
+        monkeypatch.setattr(_modmat, "_SPLIT_COST", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("p", [3, 13, 23, 41, 257])
+def test_ntt_matches_naive_sums(p, splits):
+    # r prime (23), a power of 2 (257) and mixed; e = +-2 on r columns,
+    # e = 1 and 3 on all p - 1
+    ctx = make_field_ctx(p)
+    for length, e in ((ctx.r, 2), (ctx.r, -2), (p - 1, 1), (p - 1, 3)):
+        rows = _dense_rows(ctx, length, p)
+        want = _naive_power_sums(ctx, rows, e * np.arange(length))
+        assert ntt(ctx, rows, e).tolist() == want, (p, length, e)
+
+
+@pytest.mark.parametrize("p", [1009, 1019, 2003, 4001, 4003])
+def test_ntt_matches_power_sums(p, splits):
+    # r = 504, 509 (prime), 1001, 2000 and 2001 = 3 * 23 * 29
+    ctx = make_field_ctx(p)
+    for e in (2, -2):
+        rows = _dense_rows(ctx, ctx.r, p)
+        got = ntt(ctx, rows, e)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, power_sums(ctx, rows, e * np.arange(ctx.r)))
+
+
+def test_ntt_with_a_large_prime_factor():
+    # r = 50001 = 3 * 7 * 2381: the 2381-point transforms are dense leaves;
+    # checked at sampled k, since a full r x r oracle is 2.5e9 entries
+    ctx = make_field_ctx(100003)
+    rows = _dense_rows(ctx, ctx.r, 3)
+    ks = np.r_[0, 1, ctx.r - 1, np.random.default_rng(4).integers(0, ctx.r, 40)]
+    for e in (2, -2):
+        got = ntt(ctx, rows, e)
+        assert np.array_equal(got[:, ks], power_sums(ctx, rows, e * ks))
+
+
+def test_ntt_rejects_a_length_without_a_root(ctx41):
+    with pytest.raises(OrderDoesNotDivide):
+        ntt(ctx41, np.ones(20), 1)  # gamma^20 != 1
+
+
+def test_ntt_refuses_a_prime_whose_products_overflow_int64(splits):
+    # 30 divides p - 1, and a product of two residues mod p would wrap
+    # int64: leaf or split, gamma_powers refuses before any product
+    ctx = make_field_ctx((1 << 61) - 1)
+    with pytest.raises(TooLarge):
+        ntt(ctx, np.ones((1, 30), dtype=np.int64), (ctx.p - 1) // 30)
+
+
+def test_monomial_check_builds_one_table_row(monkeypatch):
+    ctx = make_field_ctx(1000003)
+    sizes = []
+    power_block = _modmat.power_block
+    monkeypatch.setattr(_modmat, "power_block",
+                        lambda ctx, rows, cols: sizes.append(rows.size * cols.size)
+                        or power_block(ctx, rows, cols))
+    assert search.min_degree_direct(ctx).min_degree == (ctx.p + 1) // 4
+    assert sizes and max(sizes) <= ctx.r

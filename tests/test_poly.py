@@ -6,7 +6,7 @@ from sqrtpoly import fourier, make_field_ctx, poly, ts
 from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import (ContextMismatch, DegreeTooLarge,
                              EqualInputsCancellation, LevelOutOfRange,
-                             NotASqrtPoly, WrongPartCount)
+                             NotASqrtPoly, SqrtPolyError, WrongPartCount)
 from sqrtpoly.poly import (NEG_INF, add, eval_poly, from_coeffs, glue_crt,
                            glue_pair, is_sqrt_poly, monomial, mul_cyclic,
                            scalar_mul, sub)
@@ -235,3 +235,18 @@ def test_glue_pair_then_crt_agree(ctx41):
 def test_json_roundtrip(ctx13):
     f = from_coeffs(ctx13, [3, 0, 7])
     assert from_coeffs(ctx13, f.to_json()) == f
+
+
+def test_glue_crt_check_raises(monkeypatch, ctx41):
+    parts = [monomial(ctx41, c, 3) for c in P41_GLUE_PARTS]
+    monkeypatch.setattr(poly, "is_sqrt_poly", lambda ctx, f: False)
+    with pytest.raises(SqrtPolyError, match="glue_crt"):
+        glue_crt(ctx41, parts, check=True)
+
+
+def test_glue_pair_check_raises(monkeypatch, ctx41):
+    f0 = sparse_poly(ctx41, P41_GLUE_HALF_0)
+    f1 = sparse_poly(ctx41, P41_GLUE_HALF_1)
+    monkeypatch.setattr(poly, "sub", lambda a, b: from_coeffs(ctx41, []))
+    with pytest.raises(SqrtPolyError, match="glue_pair degree"):
+        glue_pair(ctx41, f0, f1, 1, 0, check=True)

@@ -122,3 +122,14 @@ def test_enumerate_sharding():
         list(enumerate_sign_vectors(4, 0, 17))
     with pytest.raises(RangeOutOfBounds):
         list(enumerate_sign_vectors(4, -1, 4))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 64, 2000])
+def test_signs_and_render_match_the_per_bit_definition(d):
+    rng = random.Random(d)
+    for bits in (0, (1 << d) - 1, 1 << (d - 1), rng.getrandbits(d)):
+        eps = SignVector(bits, d)
+        want = [-1 if (bits >> n) & 1 else 1 for n in range(d)]
+        got = eps.signs()
+        assert got == want and all(type(s) is int for s in got)
+        assert eps.render() == "(" + ",".join("-" if s < 0 else "+" for s in want) + ")"
