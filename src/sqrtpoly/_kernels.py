@@ -4,9 +4,13 @@ and the minimal-degree search (Horowitz-Sahni).
 Each of them asks how many pairs (a row of A, a row of B) agree on their
 top j columns.  join_sort sorts the rows of both tables together, top
 column first, and gives the common-prefix length of each adjacent pair
-of sorted rows.  scan_runs cuts the sorted rows into runs that agree on
-their top j columns and counts each run's rows from A and from B; a run
-of na rows of A and nb rows of B holds na * nb agreeing pairs.
+of sorted rows: packed_keys packs the rows into uint64 keys and
+sort_keys sorts those.  A table is a 2-d array of rows, or a pair
+(P, Q) of half tables whose row u * len(Q) + v is P[u] + Q[v] mod p;
+a pair's keys are packed column by column from broadcast sums, so its
+rows are never built.  scan_runs cuts the sorted rows into runs that
+agree on their top j columns and counts each run's rows from A and from
+B; a run of na rows of A and nb rows of B holds na * nb agreeing pairs.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
@@ -26,6 +30,8 @@ import numpy as np
 from . import _modmat
 from .errors import RangeOutOfBounds, SqrtPolyError
 
+_BLOCK_ROWS = 1 << 16  # rows of a table packed at a time: 512 KB of keys
+
 
 def _digits(p: int) -> tuple[int, int]:
     """(bits, per): bits of a value in [0, p), values per uint64 key."""
@@ -38,21 +44,75 @@ def key_count(cols: int, p: int) -> int:
     return -(-cols // _digits(p)[1])
 
 
-def _packed_keys(a: np.ndarray, b: np.ndarray, p: int) -> list[np.ndarray]:
+def _height(table) -> int:
+    """Rows of a table: a 2-d array, or a pair (P, Q) of len(P) * len(Q) rows."""
+    if isinstance(table, tuple):
+        return len(table[0]) * len(table[1])
+    return len(table)
+
+
+def _width(table) -> int:
+    """Columns of a table's rows."""
+    return (table[0] if isinstance(table, tuple) else table).shape[1]
+
+
+def _sum_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x + y) mod p for x, y in [0, p), in the narrowest unsigned dtype of 2(p - 1).
+
+    The sum is reduced by one conditional subtract, not a division.
+    """
+    s = np.add(x, y, dtype=np.min_scalar_type(2 * (p - 1)))
+    np.minimum(s, s - s.dtype.type(p), out=s)  # s - p wraps round when s < p
+    return s
+
+
+def _column(table, j: int, p: int) -> np.ndarray:
+    """Column j of a table's rows, as packed_keys reads them."""
+    if not isinstance(table, tuple):
+        return table[:, j].astype(np.uint64)
+    hi, lo = table
+    return _sum_mod(hi[:, j, None], lo[None, :, j], p).ravel()
+
+
+def pair_rows(pair: tuple, rows: np.ndarray, p: int) -> np.ndarray:
+    """Rows u * len(Q) + v of a pair (P, Q), as (P[u] + Q[v]) mod p in P's dtype."""
+    hi, lo = pair
+    u, v = np.divmod(np.asarray(rows, dtype=np.int64), len(lo))
+    return _sum_mod(hi[u], lo[v], p).astype(hi.dtype, copy=False)
+
+
+def _blocks(table) -> list:
+    """The table cut into sub-tables of about _BLOCK_ROWS rows, in row order."""
+    if isinstance(table, tuple):
+        hi, lo = table
+        step = max(1, _BLOCK_ROWS // len(lo))
+        return [(hi[u:u + step], lo) for u in range(0, len(hi), step)]
+    return [table[r:r + _BLOCK_ROWS] for r in range(0, len(table), _BLOCK_ROWS)]
+
+
+def packed_keys(a, b, p: int) -> list[np.ndarray]:
     """The rows of a, then of b, packed into uint64 keys, top column first.
 
-    Each key holds `per` columns of `bits` bits, a higher column in higher
-    bits, so comparing the keys in turn compares the rows column by
-    column from the top.  The keys are stacked; the rows are not.
+    a and b are tables: 2-d arrays of rows, or pairs (P, Q) whose row
+    u * len(Q) + v is P[u] + Q[v] mod p.  Each key holds `per` columns of
+    `bits` bits, a higher column in higher bits, so comparing the keys in
+    turn compares the rows column by column from the top.  The keys are
+    stacked; the rows are not, and a pair's rows are never built.  Keys
+    are packed a block of rows at a time, so the block stays in cache
+    while its columns are shifted in.
     """
     bits, per = _digits(p)
+    shift, blocks = np.uint64(bits), _blocks(a) + _blocks(b)
     keys = []
-    for hi in range(a.shape[1], 0, -per):
-        key = np.zeros(len(a) + len(b), dtype=np.uint64)
-        for rows, part in ((a, key[:len(a)]), (b, key[len(a):])):
+    for hi in range(_width(a), 0, -per):
+        key = np.zeros(_height(a) + _height(b), dtype=np.uint64)
+        at = 0
+        for block in blocks:
+            part = key[at:at + _height(block)]
+            at += len(part)
             for j in range(hi - 1, max(hi - per, 0) - 1, -1):
-                part <<= np.uint64(bits)
-                part |= rows[:, j].astype(np.uint64)
+                part <<= shift
+                part |= _column(block, j, p)
         keys.append(key)
     return keys
 
@@ -68,21 +128,29 @@ def _zero_top_digits(x: np.ndarray, digits: int, bits: int) -> np.ndarray:
     return n
 
 
-def join_sort(a: np.ndarray, b: np.ndarray, p: int):
-    """Sort the rows of a and b together, top column first.
+def join_sort(a, b, p: int):
+    """Sort the rows of tables a and b together, top column first.
 
-    a and b hold values in [0, p) and have the same number of columns.
-    Returns (order, src, lcp): sorted row t is row order[t] of a stacked
-    over b, src[t] is its table (0 for a, 1 for b), and lcp[t] is how many
-    top columns sorted rows t and t+1 share.  Equal rows keep a before b
-    and their own order, as in a stable sort.  The first key alone seldom
+    a and b are tables as packed_keys takes them, with values in [0, p)
+    and the same number of columns.  Returns sort_keys' (order, src, lcp)
+    for their packed keys.
+    """
+    return sort_keys(packed_keys(a, b, p), _height(a), _width(a), p)
+
+
+def sort_keys(keys: list[np.ndarray], na: int, cols: int, p: int):
+    """Sort rows of cols columns by their packed keys, as packed_keys gives them.
+
+    The first na rows are table a's, the rest table b's.  Returns
+    (order, src, lcp): sorted row t is row order[t] of a stacked over b,
+    src[t] is its table (0 for a, 1 for b), and lcp[t] is how many top
+    columns sorted rows t and t+1 share.  Equal rows keep a before b and
+    their own order, as in a stable sort.  The first key alone seldom
     ties, so rows are sorted on it, and only rows that tie on it are
     sorted again on all keys and their index; likewise only pairs that
     tie on the keys so far compare the next key.
     """
-    cols = a.shape[1]
     bits, per = _digits(p)
-    keys = _packed_keys(a, b, p)
     order = np.argsort(keys[0])
     top = keys[0][order]
     tied = np.flatnonzero(top[1:] == top[:-1])
@@ -100,7 +168,7 @@ def join_sort(a: np.ndarray, b: np.ndarray, p: int):
         x = key[order[tied + 1]] ^ key[order[tied]]
         lcp[tied] += _zero_top_digits(x, min(per, cols - i * per), bits)
         tied = tied[x == 0]
-    src = (order >= len(a)).astype(np.int8)
+    src = (order >= na).astype(np.int8)
     return order, src, lcp
 
 
@@ -129,17 +197,25 @@ def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
     runs is scan_runs' result for join_sort's order and src.  Runs come
     in order, and a run pairs each of its a rows, in order, with each of
     its b rows, in order: pair t of a run of nb b rows is (t // nb, t % nb).
+    Only the sorted rows of the runs that hold the pairs are read.
     """
-    starts, b_first, na, nb = runs
+    starts, _, na, nb = runs
     upto = np.cumsum(na * nb)  # pairs in the runs up to each run
     total = int(upto[-1]) if len(upto) else 0
     t = np.arange(total if want is None else min(want, total), dtype=np.int64)
     g = np.searchsorted(upto, t, side="right")  # the run of each pair
     t -= upto[g] - na[g] * nb[g]
-    a_rows = order[src == 0]
-    b_rows = order[src == 1] - len(a_rows)
-    return (a_rows[starts[g] - b_first[g] + t // nb[g]],
-            b_rows[b_first[g] + t % nb[g]])
+    new = np.diff(g, prepend=-1) != 0  # g ascends; np.unique would import numpy.ma
+    used = g[new]
+    k = np.cumsum(new) - 1  # the place of each pair's run among the used
+    size = na[used] + nb[used]
+    at = np.repeat(starts[used] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    rows, in_b = order[at], src[at] == 1
+    a_first = np.cumsum(na[used]) - na[used]
+    b_first = np.cumsum(nb[used]) - nb[used]
+    n_a = len(src) - np.count_nonzero(src)
+    return (rows[~in_b][a_first[k] + t // nb[g]],
+            rows[in_b][b_first[k] + t % nb[g]] - n_a)
 
 
 def sign_table(weights: np.ndarray, p: int) -> np.ndarray:

@@ -74,7 +74,8 @@ def signs_from_poly(ctx: FieldCtx, f: Poly) -> SignVector:
 def subgroup_weights(ctx: FieldCtx, d: int) -> np.ndarray:
     """w[n, k] = zeta_d^(n(m-k)) / d mod p with m = (d+1)/2, for n, k < d.
 
-    c_k = sum_n eps_n w[n, k] are the coefficients of subgroup_coeffs.
+    c_k = sum_n eps_n w[n, k] are the coefficients of subgroup_coeffs;
+    the search's sign table of the 2^q members on mu_q multiplies by it.
     """
     m = (d + 1) // 2
     exps = (m - np.arange(d, dtype=np.int64)) % d * ((ctx.p - 1) // d)
@@ -87,7 +88,8 @@ def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
 
     On an odd-order subgroup the half root is canonical: a^(1/2) = a^((d+1)/2),
     so g(zeta_d^n) = eps_n * zeta_d^(n(d+1)/2) and the coefficients come out
-    of one inverse DFT of size d.
+    of one inverse transform of length d: c_k = (1/d) sum_n eps_n
+    zeta_d^(n(d+1)/2) zeta_d^(-nk), the ntt with e = -(p-1)/d.
     """
     if ctx.r % d != 0:
         raise InvalidDivisor(f"d = {d} does not divide r = {ctx.r}")
@@ -95,7 +97,10 @@ def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
         raise UnresolvedHalfRoot("even-order subgroups have no canonical branch")
     if eps.d != d:
         raise LengthMismatch(f"eps length {eps.d} != d = {d}")
-    c = _modmat.matmul_mod([eps.signs()], subgroup_weights(ctx, d), ctx.p)[0]
+    p, step = ctx.p, (ctx.p - 1) // d  # zeta_d = gamma^step
+    half_root = ctx.gamma_powers[np.arange(d, dtype=np.int64) * ((d + 1) // 2) % d * step]
+    row = np.array(eps.signs(), dtype=np.int64) * half_root
+    c = _modmat.ntt(ctx, row, -step)[0] * pow(d, -1, p) % p
     return poly.from_coeffs(ctx, c.tolist())
 
 

@@ -2,9 +2,17 @@
 
 Every f on S splits uniquely as a pair (f_0, f_1) of halves on the two
 level-(s-2) blocks, and deg f = M + deg(f_0 - f_1), so the minimum is
-found by building both 2^((p-1)/4)-member families, sorting the
-coefficient vectors highest-degree-first, and matching the longest
+found by sorting the coefficient vectors of both 2^((p-1)/4)-member
+families together, highest degree first, and matching the longest
 cross-family common prefix.  Total work O(p * 2^((p-1)/4)).
+
+A family is held as a pair (P, Q) of half tables of about 2^((p-1)/8)
+rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p: at level 0
+the sign tables of the high and the low signs, above it the child level
+and its partner, scaled by the glue constants.  A block shift scales
+columns, so the second family is the first pair scaled.  The sort keys
+are packed straight from the pairs, and only the representatives are
+ever glued into rows.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from .ts import shift_scales
 
 SEARCH_CAP = 26  # max (p-1)/4
 DEFAULT_PAIR_CAP = 10 ** 6
+# minimal_search's stages, timed in SearchReport.stats["stage_seconds"]
+_STAGES = ("half_tables", "keys", "sort", "run_scan", "glue")
 
 
 @dataclass
@@ -58,62 +68,46 @@ def _storage_dtype(p: int):
     return np.uint8 if p < 256 else np.uint32
 
 
-def _base_members(ctx: FieldCtx) -> np.ndarray:
-    """All 2^q polynomials on S_0 = mu_q (rows indexed by sign word)."""
-    p, q = ctx.p, ctx.q
-    if q > SEARCH_CAP:
-        raise TooLarge(f"q = {q} exceeds search cap {SEARCH_CAP}")
-    weights = fourier.subgroup_weights(ctx, q)
-    return _kernels.sign_table(weights, p).astype(_storage_dtype(p))
+def _scaled(ctx: FieldCtx, pair: tuple, i: int) -> tuple:
+    """The pair of the family shifted to block i, f |-> gamma^i f(gamma^(-2i) x).
+
+    The shift scales column j of every member by the same factor, so it
+    scales both half tables.
+    """
+    if not i:
+        return pair
+    scales = shift_scales(ctx, i, pair[0].shape[1])
+    return tuple((t * scales % ctx.p).astype(t.dtype) for t in pair)
 
 
-def _shift_members(ctx: FieldCtx, members: np.ndarray, i: int) -> np.ndarray:
-    """Column scaling realizing f |-> gamma^i f(gamma^(-2i) x)."""
-    p = ctx.p
-    scales = shift_scales(ctx, i, members.shape[1])
-    out = np.empty_like(members)
-    step = max(1, (1 << 20) // members.shape[1])  # rows per int64 chunk
-    for r0 in range(0, len(members), step):
-        out[r0:r0 + step] = members[r0:r0 + step].astype(np.int64) * scales % p
-    return out
+def _family_pair(ctx: FieldCtx, k: int) -> tuple:
+    """F_0^k as a pair (P, Q): member u * len(Q) + v is P[u] + Q[v] mod p.
 
-
-def _glue_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, k: int,
-              i: int = 0) -> np.ndarray:
-    """All |a| x |b| gluings of level-k families into level k+1."""
-    p = ctx.p
-    m = (1 << k) * ctx.q
-    alpha = pow(ctx.zetaTS, ((1 << k) * i) % (1 << (ctx.s - 1)), p)
-    c = pow(2 * alpha % p, -1, p)
-    ac = alpha * c % p
-    a_lo = a.astype(np.int64) * ac % p
-    a_hi = a.astype(np.int64) * c % p
-    b_lo = b.astype(np.int64) * ac % p
-    b_hi = b.astype(np.int64) * c % p
-    na, nb = len(a), len(b)
-    out = np.empty((na * nb, 2 * m), dtype=_storage_dtype(p))
-    chunk = max(1, (1 << 22) // max(1, nb * m))
-    for a0 in range(0, na, chunk):
-        a1 = min(a0 + chunk, na)
-        lo = (a_lo[a0:a1, None, :] + b_lo[None, :, :]) % p
-        hi = (a_hi[a0:a1, None, :] - b_hi[None, :, :]) % p
-        out[a0 * nb:a1 * nb, :m] = lo.reshape(-1, m)
-        out[a0 * nb:a1 * nb, m:] = hi.reshape(-1, m)
-    return out
-
-
-def _level_zero_members(ctx: FieldCtx, i: int) -> np.ndarray:
-    base = _base_members(ctx)
-    return _shift_members(ctx, base, i) if i else base
-
-
-def _level_members(ctx: FieldCtx, k: int) -> np.ndarray:
-    """F_0^k member matrix, built recursively."""
+    At level 0 P and Q are the sign tables of the high and the low signs
+    of the 2^q polynomials on S_0 = mu_q (member w is sign word w).  Above
+    it, gluing a child member a with a partner member b gives
+    ((a + b) / 2, (a - b) / 2), which is the sum of ([a | a] / 2) and
+    ([b | -b] / 2): P is the child level and Q its partner, both scaled.
+    """
+    p, dtype = ctx.p, _storage_dtype(ctx.p)
     if k == 0:
-        return _level_zero_members(ctx, 0)
+        if ctx.q > SEARCH_CAP:
+            raise TooLarge(f"q = {ctx.q} exceeds search cap {SEARCH_CAP}")
+        low, high, _ = _kernels.half_tables(fourier.subgroup_weights(ctx, ctx.q), p)
+        return high.astype(dtype), low.astype(dtype)
     child = _level_members(ctx, k - 1)
-    partner = _shift_members(ctx, child, 1 << (ctx.s - 1 - k))
-    return _glue_all(ctx, child, partner, k - 1, i=0)
+    half = pow(2, -1, p)
+    scales = shift_scales(ctx, 1 << (ctx.s - 1 - k), child.shape[1]) * half % p
+    a = child.astype(np.int64) * half % p
+    b = child.astype(np.int64) * scales % p
+    return (np.hstack([a, a]).astype(dtype),
+            np.hstack([b, (p - b) % p]).astype(dtype))
+
+
+def _level_members(ctx: FieldCtx, k: int, i: int = 0) -> np.ndarray:
+    """F_i^k member matrix, one row per member, from its pair."""
+    pair = _scaled(ctx, _family_pair(ctx, k), i)
+    return _kernels.pair_rows(pair, np.arange(len(pair[0]) * len(pair[1])), ctx.p)
 
 
 def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
@@ -121,7 +115,7 @@ def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
     if ctx.s < 2:
         raise LevelOutOfRange("level families need s >= 2")
     return LevelFamily(level=0, block=i, modulus=ctx.q,
-                       members=_level_zero_members(ctx, i))
+                       members=_level_members(ctx, 0, i))
 
 
 def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
@@ -131,10 +125,8 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     m = (1 << k) * ctx.q
     if m > SEARCH_CAP:
         raise TooLarge(f"M_k = {m} exceeds search cap {SEARCH_CAP}")
-    members = _level_members(ctx, k)
-    if i:
-        members = _shift_members(ctx, members, i)
-    return LevelFamily(level=k, block=i, modulus=m, members=members)
+    return LevelFamily(level=k, block=i, modulus=m,
+                       members=_level_members(ctx, k, i))
 
 
 def _glue_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,6 +135,12 @@ def _glue_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half = pow(2, -1, p)
     a, b = a.astype(np.int64), b.astype(np.int64)
     return np.hstack([(a + b) * half % p, (a - b) * half % p])
+
+
+def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
+    """The pairs of the two top families: F_0^(s-2) and its shift to block 1."""
+    fam_a = _family_pair(ctx, ctx.s - 2)
+    return fam_a, _scaled(ctx, fam_a, 1)
 
 
 def minimal_search(ctx: FieldCtx,
@@ -160,16 +158,18 @@ def minimal_search(ctx: FieldCtx,
     m = (ctx.p - 1) // 4
     if m > SEARCH_CAP:
         raise TooLarge(f"(p-1)/4 = {m} exceeds search cap {SEARCH_CAP}")
-    k = ctx.s - 2
-    fam_a = _level_members(ctx, k)
-    fam_b = _shift_members(ctx, fam_a, 1)
-    assert fam_a.shape[1] == m
-
-    order, src, lcp = _kernels.join_sort(fam_a, fam_b, ctx.p)
+    marks = [time.perf_counter()]  # the end of each of _STAGES in turn
+    fam_a, fam_b = _search_pairs(ctx)
+    n = len(fam_a[0]) * len(fam_a[1])
+    marks.append(time.perf_counter())
+    keys = _kernels.packed_keys(fam_a, fam_b, ctx.p)
+    marks.append(time.perf_counter())
+    order, src, lcp = _kernels.sort_keys(keys, n, m, ctx.p)
+    marks.append(time.perf_counter())
     cross = src[:-1] != src[1:]
     if not cross.any():  # pragma: no cover - both families always nonempty
         raise CancellationImpossible("no cross-family adjacency")
-    best = int(lcp[cross].max())
+    best = int((lcp * cross).max())
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
     min_degree = m + (m - 1 - best)
@@ -186,17 +186,21 @@ def minimal_search(ctx: FieldCtx,
 
     want = keep_representatives if keep_representatives is not None else pair_cap
     a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
-    glued = _glue_rows(ctx, fam_a[a_at], fam_b[b_at])
+    marks.append(time.perf_counter())
+    glued = _glue_rows(ctx, _kernels.pair_rows(fam_a, a_at, ctx.p),
+                       _kernels.pair_rows(fam_b, b_at, ctx.p))
     if not glued[:, min_degree].all() or glued[:, min_degree + 1:].any():
         raise SqrtPolyError(f"a representative's degree is not {min_degree}")
     reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
+    marks.append(time.perf_counter())
+    built = [*fam_a, *fam_b, *keys, order, src, lcp]
     stats = {
         "wall_seconds": round(time.monotonic() - t0, 6),
-        "family_size": int(len(fam_a)),
+        "stage_seconds": {name: round(b - a, 6)
+                          for name, a, b in zip(_STAGES, marks, marks[1:])},
+        "family_size": n,
         "modulus": m,
-        "memory_bytes": int(fam_a.nbytes + fam_b.nbytes + order.nbytes
-                            + src.nbytes + lcp.nbytes
-                            + 8 * len(order) * _kernels.key_count(m, ctx.p)),
+        "memory_bytes": sum(x.nbytes for x in built),
         "count_only": count_only,
         "top_level_cancellation": m - 1 - best,
     }

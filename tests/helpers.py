@@ -46,20 +46,66 @@ def naive_flip_shift(signs, n):
     return out
 
 
+def shift_members(ctx, members, i):
+    """Every row of members shifted to block i, f |-> gamma^i f(gamma^(-2i) x)."""
+    import numpy as np
+
+    from sqrtpoly.ts import shift_scales
+
+    scales = shift_scales(ctx, i, members.shape[1])
+    return (members.astype(np.int64) * scales % ctx.p).astype(members.dtype)
+
+
+def glue_all(ctx, a, b, k, i=0):
+    """All |a| x |b| gluings of level-k families into level k+1, row by row."""
+    import numpy as np
+
+    p, dtype = ctx.p, a.dtype
+    alpha = pow(ctx.zetaTS, ((1 << k) * i) % (1 << (ctx.s - 1)), p)
+    c = pow(2 * alpha % p, -1, p)
+    a = a.astype(np.int64)[:, None, :]
+    b = b.astype(np.int64)[None, :, :]
+    lo = (a * (alpha * c) + b * (alpha * c)) % p
+    hi = (a * c - b * c) % p
+    return np.concatenate([lo, hi], axis=2).reshape(-1, 2 * lo.shape[2]).astype(dtype)
+
+
+def oracle_level_members(ctx, k):
+    """F_0^k built in full: the dense sign table of mu_q, then glue upward.
+
+    Level k + 1 glues every member of level k with every member of its
+    partner, level k shifted by 2^(s-2-k) blocks.
+    """
+    from sqrtpoly import _kernels, fourier
+
+    members = _kernels.sign_table(fourier.subgroup_weights(ctx, ctx.q), ctx.p)
+    members = members.astype("uint8")
+    for j in range(k):
+        partner = shift_members(ctx, members, 1 << (ctx.s - 2 - j))
+        members = glue_all(ctx, members, partner, j)
+    return members
+
+
+def oracle_families(ctx):
+    """The two top families of the search, F_0^(s-2) and its shift to block 1."""
+    fam_a = oracle_level_members(ctx, ctx.s - 2)
+    return fam_a, shift_members(ctx, fam_a, 1)
+
+
 def naive_minimal_search(ctx, keep_representatives=16, pair_cap=10 ** 6):
     """minimal_search with a per-column lexsort and a Python loop per group.
 
-    Returns (prefix_length, minimizer_count, representative coefficient
-    lists), in the order minimal_search reports them.
+    The families are the oracle's, built in full.  Returns (prefix_length,
+    minimizer_count, representative coefficient lists), in the order
+    minimal_search reports them.
     """
     import numpy as np
 
-    from sqrtpoly import poly, search
+    from sqrtpoly import poly
 
     m = (ctx.p - 1) // 4
     k = ctx.s - 2
-    fam_a = search._level_members(ctx, k)
-    fam_b = search._shift_members(ctx, fam_a, 1)
+    fam_a, fam_b = oracle_families(ctx)
     rows = np.vstack([fam_a, fam_b]).astype(np.int64)
     src = np.concatenate([np.zeros(len(fam_a), dtype=np.int8),
                           np.ones(len(fam_b), dtype=np.int8)])
@@ -74,7 +120,8 @@ def naive_minimal_search(ctx, keep_representatives=16, pair_cap=10 ** 6):
     minimizer_count = 0
     rep_pairs = []
     want = keep_representatives if keep_representatives is not None else pair_cap
-    for s0, s1 in zip(starts, ends):
+    many = ends - starts > 1  # a group of one row pairs with nothing
+    for s0, s1 in zip(starts[many], ends[many]):
         grp_src = src[s0:s1]
         a_rows = rows[s0:s1][grp_src == 0]
         b_rows = rows[s0:s1][grp_src == 1]

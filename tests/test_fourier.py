@@ -88,7 +88,7 @@ def test_subgroup_coeffs(ctx41):
             assert pow(want, 2, p) == a  # it really is a square root
 
 
-@pytest.mark.parametrize("p", [41, 97])
+@pytest.mark.parametrize("p", [41, 97, 331])  # 331: r = q = 3 * 5 * 11
 def test_subgroup_coeffs_against_oracle(p):
     ctx = make_field_ctx(p)
     rng = random.Random(p)
@@ -103,7 +103,7 @@ def test_subgroup_coeffs_against_oracle(p):
 @pytest.mark.parametrize("p", [41, 73])
 def test_base_members_are_subgroup_coeffs(p):
     ctx = make_field_ctx(p)
-    base = search._base_members(ctx)
+    base = search.build_level_zero(ctx, 0).members
     assert base.shape == (1 << ctx.q, ctx.q)
     for w, row in enumerate(base.tolist()):
         f = fourier.subgroup_coeffs(ctx, ctx.q, SignVector(w, ctx.q))
@@ -129,6 +129,18 @@ def test_periodic_pattern_poly():
     assert len(g.sparse()) <= 7
     with pytest.raises(PeriodDoesNotDivide):
         fourier.periodic_pattern_poly(ctx, from_signs([1, 1]))
+
+
+def test_periodic_pattern_poly_at_a_large_subgroup():
+    # p = 3 mod 4, so q = r = 10005: a q x q weight table would hold 1e8
+    # entries; the transform of length q builds none
+    ctx = make_field_ctx(20011)
+    assert ctx.q == ctx.r == 10005
+    f = fourier.periodic_pattern_poly(ctx, from_signs([1, -1, -1]))
+    terms = f.sparse()
+    assert 0 < len(terms) <= 3
+    assert all(k % 3335 == 5003 % 3335 for k, _ in terms)
+    assert poly.is_sqrt_poly(ctx, f)  # mu_q is all of S here
 
 
 def test_count_vanishing_formula_matches_bruteforce():

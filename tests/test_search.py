@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from sqrtpoly.search import (build_level, build_level_zero, decompose_tree,
 
 from .fixtures import (P41_MINIMAL, P41_MINIMAL_HALF_0, P41_MINIMAL_HALF_1,
                        P41_MINIMAL_LEAVES)
-from .helpers import naive_minimal_search
+from .helpers import (naive_minimal_search, oracle_families,
+                      oracle_level_members, shift_members)
 
 
 def test_level_zero_family(ctx41):
@@ -104,8 +106,9 @@ def test_minimal_search_keep_limit(ctx41):
         assert report.representatives == []
 
 
-@pytest.mark.parametrize("keep", [1, 3, None])
-@pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53])
+@pytest.mark.parametrize("p, keep", [
+    *((p, keep) for p in (13, 17, 29, 37, 41, 53) for keep in (1, 3, None)),
+    (61, 1), (61, 16), (73, 1), (73, 16)])
 def test_group_scan_matches_naive_loop(p, keep):
     ctx = make_field_ctx(p)
     report = minimal_search(ctx, keep_representatives=keep)
@@ -138,9 +141,68 @@ def _check_join_sort(a, b, p):
 
 def test_packed_key_order_matches_column_lexsort():
     ctx = make_field_ctx(53)  # 13 coefficients of 6 bits: two keys
-    fam_a = search._level_members(ctx, ctx.s - 2)
-    fam_b = search._shift_members(ctx, fam_a, 1)
-    _check_join_sort(fam_a, fam_b, ctx.p)
+    _check_join_sort(*oracle_families(ctx), ctx.p)
+    # the pairs sort as the rows they stand for
+    order, src, lcp = _kernels.join_sort(*search._search_pairs(ctx), ctx.p)
+    want = _kernels.join_sort(*oracle_families(ctx), ctx.p)
+    for x, y in zip((order, src, lcp), want):
+        assert np.array_equal(x, y)
+
+
+P_1_MOD_4 = (13, 17, 29, 37, 41, 53, 61, 73)  # s = 2, 3 and 4
+
+
+@pytest.mark.parametrize("p", P_1_MOD_4)
+def test_pair_keys_match_oracle_families(p):
+    # the keys packed from the two pairs of half tables are the keys of
+    # the families built in full, glued and shifted row by row
+    ctx = make_field_ctx(p)
+    got = _kernels.packed_keys(*search._search_pairs(ctx), p)
+    want = _kernels.packed_keys(*oracle_families(ctx), p)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("p, levels", [*((p, None) for p in P_1_MOD_4), (97, 3)])
+def test_build_level_matches_oracle(p, levels):
+    ctx = make_field_ctx(p)
+    for k in range(ctx.s - 1 if levels is None else levels):
+        members = oracle_level_members(ctx, k)
+        for i in sorted({0, 1, (1 << (ctx.s - 1)) - 1}):
+            fam = build_level(ctx, k, i)
+            assert fam.members.dtype == members.dtype
+            assert np.array_equal(fam.members, shift_members(ctx, members, i)), (k, i)
+
+
+@pytest.mark.parametrize("p", [61, 73])
+def test_search_memory_is_the_keys(p):
+    # no family of 2^m rows is built: the peak stays within a few times
+    # the packed keys, which the join cannot do without
+    ctx = make_field_ctx(p)
+    m = (p - 1) // 4
+    key_bytes = 8 * (2 << m) * _kernels.key_count(m, p)
+    minimal_search(ctx)  # warm the lazy tables of ctx
+    tracemalloc.start()
+    try:
+        minimal_search(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * key_bytes, peak / key_bytes
+
+
+def test_search_stage_stats(ctx41):
+    stats = minimal_search(ctx41).stats
+    assert set(stats["stage_seconds"]) == {"half_tables", "keys", "sort",
+                                           "run_scan", "glue"}
+    assert all(v >= 0 for v in stats["stage_seconds"].values())
+    pairs = search._search_pairs(ctx41)
+    keys = _kernels.packed_keys(*pairs, ctx41.p)
+    order, src, lcp = _kernels.sort_keys(keys, 1 << 10, 10, ctx41.p)
+    built = [t for pair in pairs for t in pair] + keys + [order, src, lcp]
+    assert stats["memory_bytes"] == sum(x.nbytes for x in built)
+    assert stats["family_size"] == 1 << 10
 
 
 @pytest.mark.parametrize("p, m", [(13, 16), (13, 22), (89, 22), (257, 22)])
@@ -197,15 +259,15 @@ def test_search_checks_raise(monkeypatch, ctx41):
         mp.setattr(search, "is_sqrt_poly", lambda ctx, f: False)
         with pytest.raises(SqrtPolyError, match="not a square-root"):
             min_degree_direct(make_field_ctx(19))
-    join_sort = _kernels.join_sort
+    sort_keys = _kernels.sort_keys
     # a common prefix of m - 1 gives degree m = 10 < 40/3; of 0, degree
     # 2m - 1 = 19 above the TS degree 18
     for prefix in (9, 0):
         with monkeypatch.context() as mp:
-            def fake_join(a, b, p):
-                order, src, lcp = join_sort(a, b, p)
+            def fake_sort(keys, na, cols, p):
+                order, src, lcp = sort_keys(keys, na, cols, p)
                 return order, src, np.full_like(lcp, prefix)
-            mp.setattr(_kernels, "join_sort", fake_join)
+            mp.setattr(_kernels, "sort_keys", fake_sort)
             with pytest.raises(SqrtPolyError, match="outside"):
                 minimal_search(ctx41)
     with monkeypatch.context() as mp:

@@ -61,7 +61,7 @@ def test_shift_family_matches_shift_members(ctx41):
     for k in (0, 1):
         fam = search.build_level(ctx41, k)
         for i in (1, 2, 3):
-            rows = search._shift_members(ctx41, fam.members, i).tolist()
+            rows = search.build_level(ctx41, k, i).members.tolist()
             for w, row in enumerate(rows):
                 fi = ts.shift_family(ctx41, fam.member_poly(ctx41, w), i)
                 assert fi.coeffs == row + [0] * (ctx41.r - fam.modulus)
