@@ -70,10 +70,6 @@ def _render_table(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines) + ("\n" if indent == 0 else "")
 
 
-def _hist_payload(hist) -> dict:
-    return hist.to_json()
-
-
 def cmd_ctx(args):
     ctx = make_field_ctx(args.p)
     _emit(args, {"p": ctx.p, "s": ctx.s, "q": ctx.q, "r": ctx.r,
@@ -86,7 +82,7 @@ def cmd_ts_family(args):
     ctx = make_field_ctx(args.p)
     dump = args.dump or ts.block_choice_count(ctx) <= 256
     hist, polys = ts.enumerate_ts(ctx, dump=dump)
-    payload = _hist_payload(hist)
+    payload = hist.to_json()
     payload["admissible_degrees"] = ts.ts_admissible_degrees(ctx)
     if polys is not None:
         payload["polynomials"] = [f.render() for f in polys]
@@ -102,7 +98,7 @@ def cmd_census(args):
         hist = census_mod.census_shard(ctx, idx, total, max_r=args.max_r)
     else:
         hist = census_mod.full_census(ctx, shards=args.shards, max_r=args.max_r)
-    _emit(args, _hist_payload(hist), csv_rows=hist.to_csv_rows(),
+    _emit(args, hist.to_json(), csv_rows=hist.to_csv_rows(),
           csv_header=census_mod.CSV_HEADER)
     return 0
 
@@ -110,7 +106,7 @@ def cmd_census(args):
 def cmd_family_census(args):
     ctx = make_field_ctx(args.p)
     hist = census_mod.family_census(ctx, args.d)
-    _emit(args, _hist_payload(hist), csv_rows=hist.to_csv_rows(),
+    _emit(args, hist.to_json(), csv_rows=hist.to_csv_rows(),
           csv_header=census_mod.CSV_HEADER)
     return 0
 
@@ -118,17 +114,19 @@ def cmd_family_census(args):
 def cmd_count_vanishing(args):
     ctx = make_field_ctx(args.p)
     d = args.d or ctx.r
+    shard = _parse_shard(args.shard)
     payload = {"p": ctx.p, "d": d, "ell": args.ell}
-    if args.bruteforce:
-        payload["bruteforce"] = str(fourier.count_vanishing_bruteforce(
-            ctx, d, args.ell, shard=_parse_shard(args.shard)))
-    else:
+    # the closed formula counts the full range of d = r only
+    by_formula = not args.bruteforce and d == ctx.r and shard is None
+    if by_formula:
         try:
             payload["formula"] = str(fourier.count_vanishing_formula(ctx, args.ell))
         except ValidationError as exc:
             payload["formula"] = f"inapplicable: {exc}"
-            payload["bruteforce"] = str(fourier.count_vanishing_bruteforce(
-                ctx, d, args.ell, shard=_parse_shard(args.shard)))
+            by_formula = False
+    if not by_formula:
+        payload["bruteforce"] = str(fourier.count_vanishing_bruteforce(
+            ctx, d, args.ell, shard=shard))
     _emit(args, payload)
     return 0
 
@@ -198,9 +196,8 @@ def cmd_verify(args):
 
 def cmd_decompose(args):
     ctx = make_field_ctx(args.p)
-    f = _read_poly(ctx, args)
-    tree = search.decompose_tree(ctx, f)
-    sys.stdout.write(search.render_tree(ctx, tree) + "\n")
+    tree = search.decompose_tree(ctx, _read_poly(ctx, args))
+    _emit(args, {"tree": search.render_tree(ctx, tree).splitlines()})
     return 0
 
 
@@ -210,12 +207,7 @@ def cmd_merge(args):
         with open(path) as fh:
             hist = census_mod.DegreeHistogram.from_json(json.load(fh))
         merged = hist if merged is None else merged.merge(hist)
-    out = json.dumps(merged.to_json(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _emit(args, merged.to_json())
     return 0
 
 
@@ -374,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("merge", help="merge sharded histogram JSON files")
     sp.add_argument("inputs", nargs="+")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_merge)
+    sp.set_defaults(fn=cmd_merge, format="json")
 
     return ap
 

@@ -8,14 +8,13 @@ golden values are reproducible.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .errors import EvenInput, NotAResidue, NotPrime, OrderDoesNotDivide, TooLarge
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-DEFAULT_DLOG_CAP = 1 << 24
 
 
 def is_prime(n: int) -> bool:
@@ -73,7 +72,7 @@ def _least_primitive_root(p: int) -> int:
 class FieldCtx:
     """All fixed-per-prime data; immutable after construction."""
 
-    def __init__(self, p: int, dlog_cap: int = DEFAULT_DLOG_CAP):
+    def __init__(self, p: int):
         if p % 2 == 0:
             raise EvenInput(f"p = {p} is even")
         if p < 3 or not is_prime(p):
@@ -91,7 +90,6 @@ class FieldCtx:
         self.zeta2r = self.gamma
         self.zetaR = self.gamma * self.gamma % p
         self.zetaTS = pow(self.gamma, 2 * q, p) if s >= 2 else None
-        self._dlog_cap = dlog_cap
 
     def __repr__(self):
         return (f"FieldCtx(p={self.p}, s={self.s}, q={self.q}, r={self.r}, "
@@ -132,33 +130,22 @@ class FieldCtx:
         return out
 
     @cached_property
-    def _dlog_table(self) -> dict[int, int]:
-        if self.p - 1 > self._dlog_cap:
-            raise TooLarge(
-                f"discrete-log table for p={self.p} exceeds cap {self._dlog_cap}")
-        table = {}
-        v = 1
-        for n in range(self.p - 1):
-            table[v] = n
-            v = v * self.gamma % self.p
-        return table
-
-    def dlog(self, a: int) -> int:
-        """n with gamma^n = a.  Table lookup below the cap, BSGS above."""
-        a %= self.p
-        if a == 0:
-            raise NotAResidue("0 has no discrete log")
-        if self.p - 1 <= self._dlog_cap:
-            return self._dlog_table[a]
-        # baby-step giant-step
-        m = 1
-        while m * m < self.p - 1:
-            m += 1
+    def _baby_steps(self) -> tuple[int, dict[int, int]]:
+        """(m, {gamma^j: j for j < m}), m = ceil(sqrt(p - 1)), for dlog."""
+        m = math.isqrt(self.p - 2) + 1
         baby = {}
         v = 1
         for j in range(m):
             baby.setdefault(v, j)
             v = v * self.gamma % self.p
+        return m, baby
+
+    def dlog(self, a: int) -> int:
+        """n with gamma^n = a, by baby-step giant-step."""
+        a %= self.p
+        if a == 0:
+            raise NotAResidue("0 has no discrete log")
+        m, baby = self._baby_steps
         giant = pow(self.inv(self.gamma), m, self.p)
         cur = a
         for i in range(m + 1):
@@ -168,8 +155,8 @@ class FieldCtx:
         raise NotAResidue(f"no discrete log for {a}")  # pragma: no cover
 
 
-def make_field_ctx(p: int, dlog_cap: int = DEFAULT_DLOG_CAP) -> FieldCtx:
-    return FieldCtx(p, dlog_cap=dlog_cap)
+def make_field_ctx(p: int) -> FieldCtx:
+    return FieldCtx(p)
 
 
 def legendre(a: int, ctx: FieldCtx) -> int:

@@ -143,70 +143,76 @@ def is_sqrt_poly(ctx: FieldCtx, f: Poly) -> bool:
     return bool(np.all((ratios == 1) | (ratios == ctx.p - 1)))
 
 
+def crt_rows(ctx: FieldCtx, parts: np.ndarray) -> np.ndarray:
+    """glue_crt of many polynomials at once: (n, d, q) part coefficients in,
+    (n, r) coefficient rows out, d = 2^{s-1}.
+
+    Coefficient j + t q of row i is (1/d) sum_k parts[i, k, j] zeta^{-kt},
+    an inverse transform over the blocks: the ntt with e = -2q, since
+    zeta = gamma^{2q}.
+    """
+    p, q = ctx.p, ctx.q
+    n, d = len(parts), 1 << (ctx.s - 1)
+    cols = np.asarray(parts, dtype=np.int64).transpose(0, 2, 1).reshape(n * q, d)
+    out = _modmat.ntt(ctx, cols, -2 * q) * pow(d, -1, p) % p
+    return out.reshape(n, q, d).transpose(0, 2, 1).reshape(n, ctx.r)
+
+
 def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:
     """Combine per-block polynomials f_k (degree < q) into one f on all of S.
 
     f is the unique polynomial of degree < r with f = f_k mod (x^q - zeta^k)
-    for every block k.  Computed per coefficient column by a size-2^{s-1}
-    inverse DFT at the nodes zeta^k.
+    for every block k, by crt_rows.
     """
     if ctx.s < 2:
         raise LevelOutOfRange(f"glue_crt needs s >= 2, got s = {ctx.s}")
-    p, q = ctx.p, ctx.q
+    q = ctx.q
     d = 1 << (ctx.s - 1)
     if len(parts) != d:
         raise WrongPartCount(f"expected {d} parts, got {len(parts)}")
     for f in parts:
         if f.degree != NEG_INF and f.degree >= q:
             raise DegreeTooLarge(f"part degree {f.degree} >= q = {q}")
-    zeta_inv = pow(ctx.zetaTS, -1, p)
-    inv_d = pow(d, -1, p)
-    out = [0] * ctx.r
-    for j in range(q):
-        col = [f.coeffs[j] for f in parts]
-        if not any(col):
-            continue
-        w = 1  # zeta^{-t}
-        for t in range(d):
-            b = 0
-            wk = 1  # zeta^{-kt}
-            for k in range(d):
-                b += col[k] * wk
-                wk = wk * w % p
-            b = b % p * inv_d % p
-            out[j + t * q] = b
-            w = w * zeta_inv % p
-    result = Poly(ctx, out)
+    rows = crt_rows(ctx, [[f.coeffs[:q] for f in parts]])
+    result = Poly(ctx, rows[0].tolist())
     if check and not is_sqrt_poly(ctx, result):
         raise SqrtPolyError("glue_crt result is not a square-root polynomial")
     return result
+
+
+def glue_rows(ctx: FieldCtx, a, b, k: int, i: int) -> np.ndarray:
+    """One gluing step for every row pair: [(a + b) / 2 | (a - b) / (2 alpha)].
+
+    a[t] is a level-k row (M_k = 2^k q coefficients) on S_i^k and b[t] one
+    on the partner block; the result row is f on S_i^{k+1} with
+    alpha = zeta^{2^k i}.  The formula is linear, so gluing a with 0 and
+    0 with b gives two rows that sum to the gluing of a with b.
+    """
+    p = ctx.p
+    alpha = pow(ctx.zetaTS, ((1 << k) * i) % (1 << (ctx.s - 1)), p)
+    dtype = np.int64 if p < 1 << 31 else object  # (a + b) * half < 2^63
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    return np.hstack([(a + b) * pow(2, -1, p) % p,
+                      (a - b) * pow(2 * alpha, -1, p) % p])
 
 
 def glue_pair(ctx: FieldCtx, f_i: Poly, f_j: Poly, k: int, i: int,
               check: bool = False) -> Poly:
     """One gluing step: f on S_i^{k+1} from f_i on S_i^k, f_j on the partner block.
 
-    f = (1/2a) * [x^{M_k} (f_i - f_j) + a (f_i + f_j)],  a = zeta^{2^k i}.
-    deg f = M_k + deg(f_i - f_j).
+    f = (1/2a) * [x^{M_k} (f_i - f_j) + a (f_i + f_j)],  a = zeta^{2^k i},
+    by glue_rows.  deg f = M_k + deg(f_i - f_j).
     """
     if ctx.s < 2 or not (0 <= k <= ctx.s - 2):
         raise LevelOutOfRange(f"level k = {k} not in [0, {ctx.s - 2}]")
-    p = ctx.p
     m = (1 << k) * ctx.q
     for f in (f_i, f_j):
         if f.degree != NEG_INF and f.degree >= m:
             raise DegreeTooLarge(f"input degree {f.degree} >= M_k = {m}")
     if f_i.coeffs == f_j.coeffs:
         raise EqualInputsCancellation("glue_pair inputs identical")
-    alpha = pow(ctx.zetaTS, ((1 << k) * i) % (1 << (ctx.s - 1)), p)
-    c = pow(2 * alpha % p, -1, p)
-    out = [0] * ctx.r
-    for j in range(m):
-        lo = (f_i.coeffs[j] + f_j.coeffs[j]) % p
-        hi = (f_i.coeffs[j] - f_j.coeffs[j]) % p
-        out[j] = alpha * lo % p * c % p
-        out[m + j] = hi * c % p
-    result = Poly(ctx, out)
+    row = glue_rows(ctx, [f_i.coeffs[:m]], [f_j.coeffs[:m]], k, i)[0]
+    result = Poly(ctx, row.tolist() + [0] * (ctx.r - 2 * m))
     if check:
         want = m + sub(f_i, f_j).degree
         if result.degree != want:

@@ -9,10 +9,10 @@ cross-family common prefix.  Total work O(p * 2^((p-1)/4)).
 A family is held as a pair (P, Q) of half tables of about 2^((p-1)/8)
 rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p: at level 0
 the sign tables of the high and the low signs, above it the child level
-and its partner, scaled by the glue constants.  A block shift scales
-columns, so the second family is the first pair scaled.  The sort keys
-are packed straight from the pairs, and only the representatives are
-ever glued into rows.
+glued with 0 and 0 glued with its partner (poly.glue_rows is linear).  A
+block shift scales columns, so the second family is the first pair
+scaled.  The sort keys are packed straight from the pairs, and only the
+representatives are ever glued into rows.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _family_pair(ctx: FieldCtx, k: int) -> tuple:
 
     At level 0 P and Q are the sign tables of the high and the low signs
     of the 2^q polynomials on S_0 = mu_q (member w is sign word w).  Above
-    it, gluing a child member a with a partner member b gives
-    ((a + b) / 2, (a - b) / 2), which is the sum of ([a | a] / 2) and
-    ([b | -b] / 2): P is the child level and Q its partner, both scaled.
+    it, the gluing of a child member a with a partner member b is linear,
+    the sum of the gluings of a with 0 and of 0 with b: P glues the child
+    level with 0 and Q glues 0 with its partner.
     """
     p, dtype = ctx.p, _storage_dtype(ctx.p)
     if k == 0:
@@ -96,12 +96,10 @@ def _family_pair(ctx: FieldCtx, k: int) -> tuple:
         low, high, _ = _kernels.half_tables(fourier.subgroup_weights(ctx, ctx.q), p)
         return high.astype(dtype), low.astype(dtype)
     child = _level_members(ctx, k - 1)
-    half = pow(2, -1, p)
-    scales = shift_scales(ctx, 1 << (ctx.s - 1 - k), child.shape[1]) * half % p
-    a = child.astype(np.int64) * half % p
-    b = child.astype(np.int64) * scales % p
-    return (np.hstack([a, a]).astype(dtype),
-            np.hstack([b, (p - b) % p]).astype(dtype))
+    partner, = _scaled(ctx, (child,), 1 << (ctx.s - 1 - k))
+    zero = np.zeros_like(child)
+    return (poly.glue_rows(ctx, child, zero, k - 1, 0).astype(dtype),
+            poly.glue_rows(ctx, zero, partner, k - 1, 0).astype(dtype))
 
 
 def _level_members(ctx: FieldCtx, k: int, i: int = 0) -> np.ndarray:
@@ -112,10 +110,7 @@ def _level_members(ctx: FieldCtx, k: int, i: int = 0) -> np.ndarray:
 
 def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
     """All 2^q square-root polynomials on the block S_i."""
-    if ctx.s < 2:
-        raise LevelOutOfRange("level families need s >= 2")
-    return LevelFamily(level=0, block=i, modulus=ctx.q,
-                       members=_level_members(ctx, 0, i))
+    return build_level(ctx, 0, i)
 
 
 def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
@@ -127,14 +122,6 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
         raise TooLarge(f"M_k = {m} exceeds search cap {SEARCH_CAP}")
     return LevelFamily(level=k, block=i, modulus=m,
                        members=_level_members(ctx, k, i))
-
-
-def _glue_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """glue_pair(a[t], b[t]) onto block 0 (alpha = 1) for every row pair t."""
-    p = ctx.p
-    half = pow(2, -1, p)
-    a, b = a.astype(np.int64), b.astype(np.int64)
-    return np.hstack([(a + b) * half % p, (a - b) * half % p])
 
 
 def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
@@ -187,8 +174,8 @@ def minimal_search(ctx: FieldCtx,
     want = keep_representatives if keep_representatives is not None else pair_cap
     a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
     marks.append(time.perf_counter())
-    glued = _glue_rows(ctx, _kernels.pair_rows(fam_a, a_at, ctx.p),
-                       _kernels.pair_rows(fam_b, b_at, ctx.p))
+    glued = poly.glue_rows(ctx, _kernels.pair_rows(fam_a, a_at, ctx.p),
+                           _kernels.pair_rows(fam_b, b_at, ctx.p), ctx.s - 2, 0)
     if not glued[:, min_degree].all() or glued[:, min_degree + 1:].any():
         raise SqrtPolyError(f"a representative's degree is not {min_degree}")
     reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]

@@ -39,16 +39,17 @@ def block_choice_count(ctx: FieldCtx) -> int:
     return 1 << block_count(ctx)
 
 
+def block_constants(ctx: FieldCtx, ks) -> np.ndarray:
+    """tau^(-k) for the blocks k, tau = gamma^q, the branch zeta^(1/2)."""
+    return ctx.gamma_powers[-ctx.q * np.asarray(ks, dtype=np.int64) % (ctx.p - 1)]
+
+
 def block_minimal_poly(ctx: FieldCtx, k: int) -> Poly:
     """zeta^{-k/2} x^{(q+1)/2} on S_k, with the branch zeta^{1/2} := gamma^q."""
     d = block_count(ctx)
     if not (0 <= k < d):
         raise BlockOutOfRange(f"block {k} not in [0, {d})")
-    if ctx.s == 1:
-        return poly.monomial(ctx, 1, (ctx.p + 1) // 4)
-    tau = pow(ctx.gamma, ctx.q, ctx.p)  # square root of zetaTS
-    coeff = pow(tau, -k % (1 << ctx.s), ctx.p) if k else 1
-    return poly.monomial(ctx, coeff, (ctx.q + 1) // 2)
+    return poly.monomial(ctx, int(block_constants(ctx, k)), (ctx.q + 1) // 2)
 
 
 def shift_scales(ctx: FieldCtx, i: int, width: int) -> np.ndarray:
@@ -67,23 +68,28 @@ def shift_family(ctx: FieldCtx, f0: Poly, i: int) -> Poly:
     return Poly(ctx, (scaled % ctx.p).tolist())
 
 
-def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:
-    """Glue the signed block monomials into one polynomial on S."""
+def _ts_rows(ctx: FieldCtx, signs: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the TS polynomials of the rows of block signs.
+
+    Part k is h_k tau^(-k) x^e, e = (q+1)/2, reduced modulo its block's
+    x^q - zeta^k: x^e = zeta^(k (e // q)) x^(e mod q).  All parts go
+    through one batched CRT.
+    """
     if ctx.s < 2:
         raise LevelOutOfRange("TS gluing needs s >= 2")
-    parts = []
-    for k in range(block_count(ctx)):
-        f = block_minimal_poly(ctx, k)
-        if choice.h.sign(k) == -1:
-            f = -f
-        if f.degree != poly.NEG_INF and f.degree >= ctx.q:
-            # q = 1 only: the block monomial c*x reduces to the constant
-            # c*zeta^k modulo the block's vanishing polynomial x - zeta^k
-            e, c = f.sparse()[0]
-            beta = pow(ctx.zetaTS, k * (e // ctx.q) % (1 << (ctx.s - 1)), ctx.p)
-            f = poly.monomial(ctx, c * beta % ctx.p, e % ctx.q)
-        parts.append(f)
-    return poly.glue_crt(ctx, parts)
+    p, q = ctx.p, ctx.q
+    e = (q + 1) // 2
+    ks = np.arange(block_count(ctx), dtype=np.int64)
+    coeffs = block_constants(ctx, ks) * ctx.gamma_powers[2 * q * (e // q) * ks % (p - 1)]
+    parts = np.zeros((len(signs), len(ks), q), dtype=np.int64)
+    parts[:, :, e % q] = signs * coeffs % p
+    return poly.crt_rows(ctx, parts)
+
+
+def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:
+    """Glue the signed block monomials into one polynomial on S."""
+    row = _ts_rows(ctx, np.array([choice.h.signs()], dtype=np.int64))[0]
+    return Poly(ctx, row.tolist())
 
 
 def ts_sign_vector(ctx: FieldCtx, choice: TsChoice) -> SignVector:
@@ -117,8 +123,9 @@ def enumerate_ts(ctx: FieldCtx, dump: bool = False):
 
     Returns (DegreeHistogram, polys) where polys is None unless dump=True.
     The histogram is computed from the sparse coefficient formula
-    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)); the dump path goes the
-    long way through glue_crt (route agreement is a tested invariant).
+    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)); the dump path glues the
+    block monomials of every choice by one batched CRT (route agreement
+    is a tested invariant).
     """
     from .census import family_census
 
@@ -131,7 +138,8 @@ def enumerate_ts(ctx: FieldCtx, dump: bool = False):
     hist.meta["family"] = "ts"
     polys = None
     if dump:
-        polys = []
-        for w in range(1 << d):
-            polys.append(ts_polynomial(ctx, TsChoice(SignVector(w, d))))
+        # row w holds the choice SignVector(w, d): bit k set means h_k = -1
+        words = np.arange(1 << d, dtype=np.int64)[:, None]
+        signs = 1 - 2 * (words >> np.arange(d, dtype=np.int64) & 1)
+        polys = [Poly(ctx, row) for row in _ts_rows(ctx, signs).tolist()]
     return hist, polys

@@ -70,6 +70,31 @@ def glue_all(ctx, a, b, k, i=0):
     return np.concatenate([lo, hi], axis=2).reshape(-1, 2 * lo.shape[2]).astype(dtype)
 
 
+def naive_glue_crt(ctx, parts):
+    """glue_crt's coefficient list by a size-2^(s-1) inverse DFT per column.
+
+    Coefficient j + t q is (1/d) sum_k c_{k,j} zeta^(-kt), every power by
+    a running product.
+    """
+    p, q = ctx.p, ctx.q
+    d = 1 << (ctx.s - 1)
+    zeta_inv = pow(ctx.zetaTS, -1, p)
+    inv_d = pow(d, -1, p)
+    out = [0] * ctx.r
+    for j in range(q):
+        col = [f.coeffs[j] for f in parts]
+        w = 1  # zeta^(-t)
+        for t in range(d):
+            b = 0
+            wk = 1  # zeta^(-kt)
+            for k in range(d):
+                b += col[k] * wk
+                wk = wk * w % p
+            out[j + t * q] = b % p * inv_d % p
+            w = w * zeta_inv % p
+    return out
+
+
 def oracle_level_members(ctx, k):
     """F_0^k built in full: the dense sign table of mu_q, then glue upward.
 

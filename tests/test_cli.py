@@ -132,6 +132,23 @@ def test_count_vanishing_fallback(capsys):
     assert "bruteforce" in obj
 
 
+def test_count_vanishing_d_below_r(capsys):
+    # the closed formula holds for d = r only; d = 7 at p = 29 (r = 14) is
+    # answered by the join
+    obj = run_json(capsys, ["count-vanishing", "--p", "29", "--d", "7", "--ell", "1"])
+    assert obj["d"] == 7 and "formula" not in obj
+    assert obj["bruteforce"] == "2"
+
+
+def test_count_vanishing_shard(capsys):
+    # the formula counts the full range; a shard is answered by the join
+    shards = [run_json(capsys, ["count-vanishing", "--p", "29", "--ell", "1",
+                                "--shard", f"{i}/4"]) for i in range(4)]
+    assert shards[1] == {"p": 29, "d": 14, "ell": 1, "bruteforce": "141"}
+    full = run_json(capsys, ["count-vanishing", "--p", "29", "--ell", "1"])
+    assert sum(int(obj["bruteforce"]) for obj in shards) == int(full["formula"]) == 564
+
+
 def test_count_vanishing_bad_shard():
     # an out-of-range shard is invalid input (2), not a resource cap (3)
     assert cli.main(["count-vanishing", "--p", "13", "--ell", "1",
@@ -193,6 +210,16 @@ def test_decompose(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "19x^4 + 33x^3 + 6x^2 + 38x + 28" in out
+
+
+def test_decompose_out_and_json(capsys, tmp_path):
+    argv = ["decompose", "--p", "41", "--poly", json.dumps(P41_MINIMAL)]
+    path = tmp_path / "tree.txt"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "19x^4 + 33x^3 + 6x^2 + 38x + 28" in path.read_text()
+    obj = run_json(capsys, argv)
+    assert len(obj["tree"]) == 7 and sum("level=0" in line for line in obj["tree"]) == 4
 
 
 def test_exit_code_validation():

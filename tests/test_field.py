@@ -109,10 +109,13 @@ def test_s1_has_no_zeta_ts():
 
 
 def test_dlog_bsgs_path():
-    # force the BSGS branch with a tiny table cap
-    ctx = make_field_ctx(101, dlog_cap=4)
-    for a in (1, 2, 50, 100):
-        assert pow(ctx.gamma, ctx.dlog(a), 101) == a
+    # baby-step giant-step is the only route: every a, each log in [0, p - 1)
+    ctx = make_field_ctx(101)
+    for a in range(1, 101):
+        n = ctx.dlog(a)
+        assert 0 <= n < 100 and pow(ctx.gamma, n, 101) == a
+    with pytest.raises(NotAResidue):
+        ctx.dlog(0)
 
 
 @pytest.mark.parametrize("p", [3, 13, 4001, 786433])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sqrtpoly import fourier, make_field_ctx, poly, ts
@@ -8,13 +9,13 @@ from sqrtpoly.errors import (ContextMismatch, DegreeTooLarge,
                              EqualInputsCancellation, LevelOutOfRange,
                              NotASqrtPoly, SqrtPolyError, WrongPartCount)
 from sqrtpoly.poly import (NEG_INF, add, eval_poly, from_coeffs, glue_crt,
-                           glue_pair, is_sqrt_poly, monomial, mul_cyclic,
-                           scalar_mul, sub)
+                           glue_pair, glue_rows, is_sqrt_poly, monomial,
+                           mul_cyclic, scalar_mul, sub)
 from sqrtpoly.signs import SignVector
 
 from .fixtures import (P41_GLUE_HALF_0, P41_GLUE_HALF_1, P41_GLUE_PARTS,
                        P41_GLUE_RESULT, P41_MINIMAL, P41_TS_TABLE)
-from .helpers import naive_is_sqrt_poly
+from .helpers import glue_all, naive_glue_crt, naive_is_sqrt_poly
 
 
 def sparse_poly(ctx, d):
@@ -182,6 +183,33 @@ def test_glue_crt_is_blockwise_restriction(ctx41):
             for a in range(1, p):
                 if pow(a, q, p) == pow(zeta, k, p):
                     assert eval_poly(f, a) == eval_poly(parts[k], a)
+
+
+@pytest.mark.parametrize("p", [13, 17, 41, 97, 113, 257, 641, 1217])
+def test_glue_crt_matches_naive_dft(p):
+    # s = 2, 4, 3, 5, 4, 8, 7, 6; q = 1 at p = 17 and 257
+    ctx = make_field_ctx(p)
+    rng = random.Random(p)
+    d = 1 << (ctx.s - 1)
+    for _ in range(3):
+        parts = [from_coeffs(ctx, [rng.randrange(p) for _ in range(ctx.q)])
+                 for _ in range(d)]
+        assert glue_crt(ctx, parts).coeffs == naive_glue_crt(ctx, parts)
+
+
+@pytest.mark.parametrize("p,k,i", [(41, 0, 1), (41, 0, 3), (41, 1, 1),
+                                   (97, 1, 5), (97, 2, 3), (113, 0, 7)])
+def test_glue_rows_matches_glue_all(p, k, i):
+    ctx = make_field_ctx(p)
+    rng = np.random.default_rng(p * 100 + k * 10 + i)
+    m = (1 << k) * ctx.q
+    a = rng.integers(0, p, size=(5, m), dtype=np.int64)
+    b = rng.integers(0, p, size=(4, m), dtype=np.int64)
+    rows = glue_rows(ctx, np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), k, i)
+    assert np.array_equal(rows, glue_all(ctx, a, b, k, i))
+    # glue_pair is the one-row call
+    f = glue_pair(ctx, from_coeffs(ctx, a[0].tolist()), from_coeffs(ctx, b[0].tolist()), k, i)
+    assert f.coeffs[:2 * m] == rows[0].tolist()
 
 
 def test_glue_crt_errors(ctx41, ctx13):

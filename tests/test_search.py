@@ -270,8 +270,11 @@ def test_search_checks_raise(monkeypatch, ctx41):
             mp.setattr(_kernels, "sort_keys", fake_sort)
             with pytest.raises(SqrtPolyError, match="outside"):
                 minimal_search(ctx41)
+    glue_rows = poly.glue_rows
     with monkeypatch.context() as mp:
-        mp.setattr(search, "_glue_rows", lambda ctx, a, b: np.zeros((len(a), 20)))
+        # zero only the representatives' glue, at the top level s - 2 = 1
+        mp.setattr(poly, "glue_rows", lambda ctx, a, b, k, i:
+                   glue_rows(ctx, a, b, k, i) * (k != ctx.s - 2))
         with pytest.raises(SqrtPolyError, match="degree is not 17"):
             minimal_search(ctx41)
 

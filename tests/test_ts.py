@@ -1,6 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
 from sqrtpoly import fourier, make_field_ctx, search, ts
+from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import BlockOutOfRange, LevelOutOfRange
 from sqrtpoly.poly import eval_poly, is_sqrt_poly
 from sqrtpoly.signs import SignVector, from_signs
@@ -133,6 +137,24 @@ def test_enumerate_ts_dump(ctx41):
     # closed under negation
     coeff_sets = {tuple(f.coeffs) for f in polys}
     assert all(tuple((-f).coeffs) in coeff_sets for f in polys)
+
+
+def test_enumerate_ts_dump_p97():
+    # 2^16 choices in one batched CRT: all square-root polynomials, with the
+    # census's degree histogram, and each the glue of its own choice
+    ctx = make_field_ctx(97)
+    hist, polys = ts.enumerate_ts(ctx, dump=True)
+    assert len(polys) == 1 << 16
+    rows = np.array([f.coeffs for f in polys], dtype=np.int64)
+    ns = np.arange(ctx.r)
+    ratios = eval_on_squares(ctx, rows) * ctx.gamma_powers[-ns % (ctx.p - 1)] % ctx.p
+    assert np.all((ratios == 1) | (ratios == ctx.p - 1))
+    degs = {}
+    for f in polys:
+        degs[f.degree] = degs.get(f.degree, 0) + 1
+    assert degs == hist.counts == TS_COUNTS[97]
+    for w in random.Random(97).sample(range(1 << 16), 20):
+        assert polys[w] == ts.ts_polynomial(ctx, ts.TsChoice(SignVector(w, 16)))
 
 
 def test_degrees_land_on_admissible_grid():
