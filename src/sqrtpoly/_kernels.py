@@ -4,13 +4,16 @@ and the minimal-degree search (Horowitz-Sahni).
 Each of them asks how many pairs (a row of A, a row of B) agree on their
 top j columns.  join_sort sorts the rows of both tables together, top
 column first, and gives the common-prefix length of each adjacent pair
-of sorted rows: packed_keys packs the rows into uint64 keys and
-sort_keys sorts those.  A table is a 2-d array of rows, or a pair
-(P, Q) of half tables whose row u * len(Q) + v is P[u] + Q[v] mod p;
-a pair's keys are packed column by column from broadcast sums, so its
-rows are never built.  scan_runs cuts the sorted rows into runs that
-agree on their top j columns and counts each run's rows from A and from
-B; a run of na rows of A and nb rows of B holds na * nb agreeing pairs.
+of sorted rows.  It packs one uint64 key per row, the row's top columns
+above its index, and sorts the keys by value: the sorted keys give the
+order and the prefix lengths, and only the rows that tie on all the
+key's columns are read again and sorted on the rest.  A table is a 2-d
+array of rows, or a pair (P, Q) of half tables whose row u * len(Q) + v
+is P[u] + Q[v] mod p; a pair's key is packed column by column from
+broadcast sums, so its rows are never built.  scan_runs cuts the sorted
+rows into runs that agree on their top j columns and counts each run's
+rows from A and from B; a run of na rows of A and nb rows of B holds
+na * nb agreeing pairs.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
@@ -25,23 +28,14 @@ that cuts Gray indices into shards.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from . import _modmat
 from .errors import RangeOutOfBounds, SqrtPolyError
 
 _BLOCK_ROWS = 1 << 16  # rows of a table packed at a time: 512 KB of keys
-
-
-def _digits(p: int) -> tuple[int, int]:
-    """(bits, per): bits of a value in [0, p), values per uint64 key."""
-    bits = (p - 1).bit_length()
-    return bits, 64 // bits
-
-
-def key_count(cols: int, p: int) -> int:
-    """Number of uint64 keys a row of cols values in [0, p) packs into."""
-    return -(-cols // _digits(p)[1])
 
 
 def _height(table) -> int:
@@ -67,7 +61,7 @@ def _sum_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _column(table, j: int, p: int) -> np.ndarray:
-    """Column j of a table's rows, as packed_keys reads them."""
+    """Column j of a table's rows, as _packed_key reads them."""
     if not isinstance(table, tuple):
         return table[:, j].astype(np.uint64)
     hi, lo = table
@@ -90,31 +84,31 @@ def _blocks(table) -> list:
     return [table[r:r + _BLOCK_ROWS] for r in range(0, len(table), _BLOCK_ROWS)]
 
 
-def packed_keys(a, b, p: int) -> list[np.ndarray]:
-    """The rows of a, then of b, packed into uint64 keys, top column first.
+def _packed_key(a, b, p: int) -> tuple[np.ndarray, int, int]:
+    """One uint64 per row of a, then of b: its top c columns above its index.
 
-    a and b are tables: 2-d arrays of rows, or pairs (P, Q) whose row
-    u * len(Q) + v is P[u] + Q[v] mod p.  Each key holds `per` columns of
-    `bits` bits, a higher column in higher bits, so comparing the keys in
-    turn compares the rows column by column from the top.  The keys are
-    stacked; the rows are not, and a pair's rows are never built.  Keys
-    are packed a block of rows at a time, so the block stays in cache
-    while its columns are shifted in.
+    Row t of the stack (a's rows, then b's) needs ibits bits for t, and
+    its key holds t in its low ibits bits and, above them, as many top
+    columns as fit, c of them, `bits` bits each and a higher column in
+    higher bits.  Returns (key, c, ibits).  The rows are not stacked,
+    and a pair's rows are never built.  The key is packed a block of
+    rows at a time, so the block stays in cache while its columns are
+    shifted in.
     """
-    bits, per = _digits(p)
-    shift, blocks = np.uint64(bits), _blocks(a) + _blocks(b)
-    keys = []
-    for hi in range(_width(a), 0, -per):
-        key = np.zeros(_height(a) + _height(b), dtype=np.uint64)
-        at = 0
-        for block in blocks:
-            part = key[at:at + _height(block)]
-            at += len(part)
-            for j in range(hi - 1, max(hi - per, 0) - 1, -1):
-                part <<= shift
-                part |= _column(block, j, p)
-        keys.append(key)
-    return keys
+    bits, cols = (p - 1).bit_length(), _width(a)
+    ibits = (_height(a) + _height(b) - 1).bit_length()
+    c = min(cols, (64 - ibits) // bits)
+    key = np.zeros(_height(a) + _height(b), dtype=np.uint64)
+    at = 0
+    for block in _blocks(a) + _blocks(b):
+        part = key[at:at + _height(block)]
+        for j in range(cols - 1, cols - 1 - c, -1):
+            part <<= np.uint64(bits)
+            part |= _column(block, j, p)
+        part <<= np.uint64(ibits)
+        part |= np.arange(at, at + len(part), dtype=np.uint64)
+        at += len(part)
+    return key, c, ibits
 
 
 def _zero_top_digits(x: np.ndarray, digits: int, bits: int) -> np.ndarray:
@@ -128,47 +122,105 @@ def _zero_top_digits(x: np.ndarray, digits: int, bits: int) -> np.ndarray:
     return n
 
 
-def join_sort(a, b, p: int):
+def _chains(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal chains of ascending links: link t joins sorted rows t, t+1.
+
+    Chain k covers sorted rows starts[k] up to ends[k], exclusive.
+    """
+    starts = links[np.diff(links, prepend=-2) != 1]
+    ends = links[np.diff(links, append=-1) != 1] + 2
+    return starts, ends
+
+
+def _spans(starts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The positions starts[k], ..., starts[k] + size[k] - 1 of every k in turn."""
+    return np.repeat(starts - (np.cumsum(size) - size), size) + np.arange(size.sum())
+
+
+def _rows(table, idx: np.ndarray, p: int) -> np.ndarray:
+    """Rows idx of a table, built for a pair by pair_rows."""
+    return pair_rows(table, idx, p) if isinstance(table, tuple) else table[idx]
+
+
+def _low_columns(table, n: int):
+    """The table of the low n columns of a table's rows."""
+    if isinstance(table, tuple):
+        return tuple(t[:, :n] for t in table)
+    return table[:, :n]
+
+
+def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
+                tied: np.ndarray, rest: int) -> np.ndarray:
+    """Sort the runs of rows tied on their key columns by their `rest` others.
+
+    order is sorted by key columns and then index, and lcp counts shared
+    key columns; tied lists the links whose rows share all of them.  The
+    low `rest` columns of those runs' rows are read, each run is sorted
+    again on them, top first, and then its index, and the tied links'
+    lcp are extended over them.  Returns the columns read.
+    """
+    if not len(tied):
+        return np.zeros((0, rest), dtype=np.uint8)
+    na = _height(a)
+    a, b = _low_columns(a, rest), _low_columns(b, rest)
+    starts, ends = _chains(tied)
+    at = _spans(starts, ends - starts)
+    run = np.repeat(np.arange(len(starts)), ends - starts)  # each row's tied run
+    sub = order[at]
+    in_a = sub < na
+    rows = np.empty((len(sub), rest), dtype=np.result_type(
+        *(t[0] if isinstance(t, tuple) else t for t in (a, b))))
+    rows[in_a] = _rows(a, sub[in_a], p)
+    rows[~in_a] = _rows(b, sub[~in_a] - na, p)
+    # a run's rows come in index order, and lexsort is stable
+    perm = np.lexsort([*rows.T, run])
+    order[at] = sub[perm]
+    # sorted rows t and t + 1 of a tied link are rows i and i + 1 read
+    i = np.searchsorted(at, tied)
+    eq = (rows[perm[i]] == rows[perm[i + 1]])[:, ::-1]
+    lcp[tied] += np.logical_and.accumulate(eq, axis=1).sum(axis=1, dtype=np.uint8)
+    return rows
+
+
+def join_sort(a, b, p: int, stats: dict | None = None):
     """Sort the rows of tables a and b together, top column first.
 
-    a and b are tables as packed_keys takes them, with values in [0, p)
-    and the same number of columns.  Returns sort_keys' (order, src, lcp)
-    for their packed keys.
+    a and b are tables: 2-d arrays of rows, or pairs (P, Q) whose row
+    u * len(Q) + v is P[u] + Q[v] mod p, with values in [0, p) and the
+    same number of columns.  Returns (order, src, lcp): sorted row t is
+    row order[t] of a stacked over b, src[t] is its table (0 for a, 1
+    for b), and lcp[t] is how many top columns sorted rows t and t+1
+    share.  Equal rows keep a before b and their own order, as in a
+    stable sort.
+
+    Each row gets one uint64 key: as many top columns as fit above its
+    stacked index (c of them, maybe none), so sorting the keys by value
+    sorts the rows on those columns and then by index, and the index is
+    read back from the sorted keys.  Only rows whose c top columns tie
+    with a neighbour's have their other columns read, and each such run
+    is sorted again on those columns and its index.  When stats is a
+    dict, join_sort puts in it the time the key was packed
+    (`packed_at`, by time.perf_counter), c (`key_columns`), the rows
+    read for ties (`tied_rows`) and the bytes of the arrays it built
+    (`memory_bytes`; order is the key itself).
     """
-    return sort_keys(packed_keys(a, b, p), _height(a), _width(a), p)
-
-
-def sort_keys(keys: list[np.ndarray], na: int, cols: int, p: int):
-    """Sort rows of cols columns by their packed keys, as packed_keys gives them.
-
-    The first na rows are table a's, the rest table b's.  Returns
-    (order, src, lcp): sorted row t is row order[t] of a stacked over b,
-    src[t] is its table (0 for a, 1 for b), and lcp[t] is how many top
-    columns sorted rows t and t+1 share.  Equal rows keep a before b and
-    their own order, as in a stable sort.  The first key alone seldom
-    ties, so rows are sorted on it, and only rows that tie on it are
-    sorted again on all keys and their index; likewise only pairs that
-    tie on the keys so far compare the next key.
-    """
-    bits, per = _digits(p)
-    order = np.argsort(keys[0])
-    top = keys[0][order]
-    tied = np.flatnonzero(top[1:] == top[:-1])
-    if len(tied):
-        in_tie = np.zeros(len(order), dtype=bool)
-        in_tie[tied] = in_tie[tied + 1] = True
-        at = np.flatnonzero(in_tie)  # np.union1d would import numpy.ma
-        sub = order[at]
-        order[at] = sub[np.lexsort([sub] + [k[sub] for k in keys[::-1]])]
-    lcp = _zero_top_digits(top[1:] ^ top[:-1], min(per, cols), bits)
-    del top
-    for i, key in enumerate(keys[1:], 1):
-        if not len(tied):
-            break
-        x = key[order[tied + 1]] ^ key[order[tied]]
-        lcp[tied] += _zero_top_digits(x, min(per, cols - i * per), bits)
-        tied = tied[x == 0]
-    src = (order >= na).astype(np.int8)
+    key, c, ibits = _packed_key(a, b, p)
+    if stats is not None:
+        stats["packed_at"] = time.perf_counter()
+    key.sort()
+    x = key[1:] ^ key[:-1]
+    x >>= np.uint64(ibits)
+    lcp = _zero_top_digits(x, c, (p - 1).bit_length())
+    rest = _width(a) - c  # the columns the key leaves out
+    tied = np.flatnonzero(x == 0) if rest else np.zeros(0, dtype=np.intp)
+    del x
+    key &= np.uint64((1 << ibits) - 1)
+    order = key.view(np.int64)
+    rows = _break_ties(a, b, p, order, lcp, tied, rest)
+    src = (order >= _height(a)).astype(np.int8)
+    if stats is not None:
+        stats.update(key_columns=c, tied_rows=len(rows),
+                     memory_bytes=sum(t.nbytes for t in (order, src, lcp, rows)))
     return order, src, lcp
 
 
@@ -181,12 +233,14 @@ def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
     b_first[t] rows of b come before it, and it holds na[t] rows of a
     and nb[t] rows of b.
     """
-    link = np.flatnonzero(lcp >= length)
-    starts = link[np.diff(link, prepend=-2) != 1]
-    ends = link[np.diff(link, append=len(lcp) + 1) != 1] + 2
-    b_before = np.concatenate([[0], np.cumsum(src, dtype=np.int64)])
-    b_first = b_before[starts]
-    nb = b_before[ends] - b_first
+    starts, ends = _chains(np.flatnonzero(lcp >= length))
+    # rows of b among sorted rows 0..t, read at the row before each start
+    # and at each run's last row
+    b_upto = np.cumsum(src, dtype=np.int32 if len(src) < 1 << 31 else np.int64)
+    b_first = b_upto[starts - 1].astype(np.int64)
+    if len(starts) and starts[0] == 0:
+        b_first[0] = 0
+    nb = b_upto[ends - 1] - b_first
     return starts, b_first, ends - starts - nb, nb
 
 
@@ -208,8 +262,7 @@ def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
     new = np.diff(g, prepend=-1) != 0  # g ascends; np.unique would import numpy.ma
     used = g[new]
     k = np.cumsum(new) - 1  # the place of each pair's run among the used
-    size = na[used] + nb[used]
-    at = np.repeat(starts[used] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    at = _spans(starts[used], na[used] + nb[used])
     rows, in_b = order[at], src[at] == 1
     a_first = np.cumsum(na[used]) - na[used]
     b_first = np.cumsum(nb[used]) - nb[used]

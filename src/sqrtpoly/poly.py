@@ -149,12 +149,16 @@ def crt_rows(ctx: FieldCtx, parts: np.ndarray) -> np.ndarray:
 
     Coefficient j + t q of row i is (1/d) sum_k parts[i, k, j] zeta^{-kt},
     an inverse transform over the blocks: the ntt with e = -2q, since
-    zeta = gamma^{2q}.
+    zeta = gamma^{2q}.  A zero row transforms to a zero row, so only the
+    rows with a nonzero entry go through it.
     """
     p, q = ctx.p, ctx.q
     n, d = len(parts), 1 << (ctx.s - 1)
     cols = np.asarray(parts, dtype=np.int64).transpose(0, 2, 1).reshape(n * q, d)
-    out = _modmat.ntt(ctx, cols, -2 * q) * pow(d, -1, p) % p
+    live = np.flatnonzero(cols.any(axis=1))
+    out = np.zeros_like(cols)
+    if len(live):
+        out[live] = _modmat.ntt(ctx, cols[live], -2 * q) * pow(d, -1, p) % p
     return out.reshape(n, q, d).transpose(0, 2, 1).reshape(n, ctx.r)
 
 

@@ -11,8 +11,10 @@ rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p: at level 0
 the sign tables of the high and the low signs, above it the child level
 glued with 0 and 0 glued with its partner (poly.glue_rows is linear).  A
 block shift scales columns, so the second family is the first pair
-scaled.  The sort keys are packed straight from the pairs, and only the
-representatives are ever glued into rows.
+scaled.  The join sorts one uint64 key per member, packed straight from
+the pairs: its top coefficients above its index.  Members that tie on
+those coefficients are the only ones built as rows, for the tie pass, and
+the representatives the only ones glued.
 """
 
 from __future__ import annotations
@@ -149,10 +151,9 @@ def minimal_search(ctx: FieldCtx,
     fam_a, fam_b = _search_pairs(ctx)
     n = len(fam_a[0]) * len(fam_a[1])
     marks.append(time.perf_counter())
-    keys = _kernels.packed_keys(fam_a, fam_b, ctx.p)
-    marks.append(time.perf_counter())
-    order, src, lcp = _kernels.sort_keys(keys, n, m, ctx.p)
-    marks.append(time.perf_counter())
+    join = {}
+    order, src, lcp = _kernels.join_sort(fam_a, fam_b, ctx.p, join)
+    marks += [join.pop("packed_at"), time.perf_counter()]
     cross = src[:-1] != src[1:]
     if not cross.any():  # pragma: no cover - both families always nonempty
         raise CancellationImpossible("no cross-family adjacency")
@@ -180,14 +181,15 @@ def minimal_search(ctx: FieldCtx,
         raise SqrtPolyError(f"a representative's degree is not {min_degree}")
     reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
     marks.append(time.perf_counter())
-    built = [*fam_a, *fam_b, *keys, order, src, lcp]
     stats = {
         "wall_seconds": round(time.monotonic() - t0, 6),
         "stage_seconds": {name: round(b - a, 6)
                           for name, a, b in zip(_STAGES, marks, marks[1:])},
         "family_size": n,
         "modulus": m,
-        "memory_bytes": sum(x.nbytes for x in built),
+        "memory_bytes": sum(t.nbytes for t in (*fam_a, *fam_b)) + join["memory_bytes"],
+        "key_columns": join["key_columns"],
+        "tied_rows": join["tied_rows"],
         "count_only": count_only,
         "top_level_cancellation": m - 1 - best,
     }

@@ -157,11 +157,10 @@ def test_pair_keys_match_oracle_families(p):
     # the keys packed from the two pairs of half tables are the keys of
     # the families built in full, glued and shifted row by row
     ctx = make_field_ctx(p)
-    got = _kernels.packed_keys(*search._search_pairs(ctx), p)
-    want = _kernels.packed_keys(*oracle_families(ctx), p)
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y)
+    key, c, ibits = _kernels._packed_key(*search._search_pairs(ctx), p)
+    want, want_c, want_ibits = _kernels._packed_key(*oracle_families(ctx), p)
+    assert (c, ibits) == (want_c, want_ibits)
+    assert np.array_equal(key, want)
 
 
 @pytest.mark.parametrize("p, levels", [*((p, None) for p in P_1_MOD_4), (97, 3)])
@@ -178,10 +177,10 @@ def test_build_level_matches_oracle(p, levels):
 @pytest.mark.parametrize("p", [61, 73])
 def test_search_memory_is_the_keys(p):
     # no family of 2^m rows is built: the peak stays within a few times
-    # the packed keys, which the join cannot do without
+    # the one uint64 key a member, which the join cannot do without
     ctx = make_field_ctx(p)
     m = (p - 1) // 4
-    key_bytes = 8 * (2 << m) * _kernels.key_count(m, p)
+    key_bytes = 8 * (2 << m)
     minimal_search(ctx)  # warm the lazy tables of ctx
     tracemalloc.start()
     try:
@@ -198,10 +197,14 @@ def test_search_stage_stats(ctx41):
                                            "run_scan", "glue"}
     assert all(v >= 0 for v in stats["stage_seconds"].values())
     pairs = search._search_pairs(ctx41)
-    keys = _kernels.packed_keys(*pairs, ctx41.p)
-    order, src, lcp = _kernels.sort_keys(keys, 1 << 10, 10, ctx41.p)
-    built = [t for pair in pairs for t in pair] + keys + [order, src, lcp]
-    assert stats["memory_bytes"] == sum(x.nbytes for x in built)
+    order, src, lcp = _kernels.join_sort(*pairs, ctx41.p)
+    # 2^11 rows need 11 index bits, and 8 columns of 6 bits fit beside
+    # them; order is the key itself, and the tie pass reads the other 2
+    # uint8 columns of each tied row
+    assert stats["key_columns"] == 8
+    built = [t for pair in pairs for t in pair] + [order, src, lcp]
+    tie_bytes = 2 * stats["tied_rows"]
+    assert stats["memory_bytes"] == sum(x.nbytes for x in built) + tie_bytes
     assert stats["family_size"] == 1 << 10
 
 
@@ -217,6 +220,47 @@ def test_packed_key_order_breaks_ties(p, m):
     a[100:120] = a[:20]  # equal rows within a family
     b[:50] = a[:50]  # and across the families
     _check_join_sort(a, b, p)
+
+
+def test_join_sort_with_no_column_beside_the_index():
+    # p = 2^61 - 1: a value takes 61 bits, so no column fits beside the
+    # 9-bit index, every row ties on the key, and the tie pass sorts all
+    p = (1 << 61) - 1
+    rng = np.random.default_rng(61)
+    a = rng.integers(0, p, size=(300, 3), dtype=np.int64)
+    b = rng.integers(0, p, size=(200, 3), dtype=np.int64)
+    a[:100, 2] = rng.integers(p - 3, p, size=100)  # ties on the top column
+    b[:60, 1:] = a[:60, 1:]  # on the top two across the tables
+    a[200:220] = a[:20]  # and equal rows
+    stats = {}
+    _kernels.join_sort(a, b, p, stats)
+    assert stats["key_columns"] == 0 and stats["tied_rows"] == 500
+    _check_join_sort(a, b, p)
+
+
+def test_tied_rows_decide_the_longest_cross_prefix():
+    # p = 89, 22 columns as the search's: with 500 rows, 7 columns fit
+    # beside the index, and the longest cross-table prefix (12 columns)
+    # is found by the tie pass alone
+    p, m = 89, 22
+    rng = np.random.default_rng(89)
+    a = rng.integers(0, p, size=(300, m)).astype(np.uint8)
+    b = rng.integers(0, p, size=(200, m)).astype(np.uint8)
+    b[:5, -12:] = a[10:15, -12:]
+    b[5:8, -12:] = a[10, -12:]  # one a row against four b rows
+    b[8:12, -9:] = a[40:44, -9:]
+    stats = {}
+    order, src, lcp = _kernels.join_sort(a, b, p, stats)
+    assert stats["key_columns"] == 7 and stats["tied_rows"] > 0
+    _check_join_sort(a, b, p)
+    cross = src[:-1] != src[1:]
+    best = int((lcp * cross).max())
+    assert best == 12
+    runs = _kernels.scan_runs(lcp, src, best)
+    got = list(zip(*(x.tolist() for x in _kernels.run_pairs(order, src, runs))))
+    want = [(i, j) for i in range(len(a)) for j in range(len(b))
+            if np.array_equal(a[i, -best:], b[j, -best:])]
+    assert sorted(got) == want and len(want) == 8
 
 
 def test_scan_runs_counts_pairs():
@@ -259,15 +303,15 @@ def test_search_checks_raise(monkeypatch, ctx41):
         mp.setattr(search, "is_sqrt_poly", lambda ctx, f: False)
         with pytest.raises(SqrtPolyError, match="not a square-root"):
             min_degree_direct(make_field_ctx(19))
-    sort_keys = _kernels.sort_keys
+    join_sort = _kernels.join_sort
     # a common prefix of m - 1 gives degree m = 10 < 40/3; of 0, degree
     # 2m - 1 = 19 above the TS degree 18
     for prefix in (9, 0):
         with monkeypatch.context() as mp:
-            def fake_sort(keys, na, cols, p):
-                order, src, lcp = sort_keys(keys, na, cols, p)
+            def fake_sort(a, b, p, stats=None):
+                order, src, lcp = join_sort(a, b, p, stats)
                 return order, src, np.full_like(lcp, prefix)
-            mp.setattr(_kernels, "sort_keys", fake_sort)
+            mp.setattr(_kernels, "join_sort", fake_sort)
             with pytest.raises(SqrtPolyError, match="outside"):
                 minimal_search(ctx41)
     glue_rows = poly.glue_rows
