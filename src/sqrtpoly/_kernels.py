@@ -13,7 +13,9 @@ is P[u] + Q[v] mod p; a pair's key is packed column by column from
 broadcast sums, so its rows are never built.  scan_runs cuts the sorted
 rows into runs that agree on their top j columns and counts each run's
 rows from A and from B; a run of na rows of A and nb rows of B holds
-na * nb agreeing pairs.
+na * nb agreeing pairs.  prefix_counts sums them at every j, Z_j, from
+one cumsum of the rows' tables, and prefix_hist turns the Z_j into the
+degree histogram of the pairs' differences.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
@@ -21,7 +23,8 @@ one place that turns sign words into signs.  With half_tables A and B
 of the low and the high signs, a vector's row is A + B mod p, and its
 top j entries vanish exactly when its A and -B rows agree on them.
 range_hist counts the degrees of A + B over a range of Gray indices by
-join_hist; its hist[0] counts the rows that vanish outright.  run_pairs
+join_hist, the prefix_hist of A against -B; its hist[0] counts the rows
+that vanish outright.  run_pairs
 lists the agreeing pairs themselves, and shard_range is the one rule
 that cuts Gray indices into shards.
 """
@@ -208,12 +211,18 @@ def join_sort(a, b, p: int, stats: dict | None = None):
     if stats is not None:
         stats["packed_at"] = time.perf_counter()
     key.sort()
-    x = key[1:] ^ key[:-1]
-    x >>= np.uint64(ibits)
-    lcp = _zero_top_digits(x, c, (p - 1).bit_length())
-    rest = _width(a) - c  # the columns the key leaves out
-    tied = np.flatnonzero(x == 0) if rest else np.zeros(0, dtype=np.intp)
-    del x
+    bits, rest = (p - 1).bit_length(), _width(a) - c  # rest: columns not in the key
+    lcp = np.empty(max(len(key) - 1, 0), dtype=np.uint8)
+    tied = [np.zeros(0, dtype=np.intp)]
+    for at in range(0, len(lcp), _BLOCK_ROWS):
+        # the key digits that links at..end - 1 share, a block at a time
+        end = min(at + _BLOCK_ROWS, len(lcp))
+        x = key[at + 1:end + 1] ^ key[at:end]
+        x >>= np.uint64(ibits)
+        lcp[at:end] = _zero_top_digits(x, c, bits)
+        if rest:
+            tied.append(np.flatnonzero(x == 0) + at)
+    tied = np.concatenate(tied)
     key &= np.uint64((1 << ibits) - 1)
     order = key.view(np.int64)
     rows = _break_ties(a, b, p, order, lcp, tied, rest)
@@ -222,6 +231,26 @@ def join_sort(a, b, p: int, stats: dict | None = None):
         stats.update(key_columns=c, tied_rows=len(rows),
                      memory_bytes=sum(t.nbytes for t in (order, src, lcp, rows)))
     return order, src, lcp
+
+
+def _b_upto(src: np.ndarray) -> np.ndarray:
+    """upto[t]: the rows of b among sorted rows 0..t-1, for t = 0..len(src).
+
+    It is summed a block of rows at a time: a cumsum that widens int8
+    would first cast the whole of src to the wider dtype.
+    """
+    upto = np.zeros(len(src) + 1, dtype=np.int32 if len(src) < 1 << 31 else np.int64)
+    for at in range(0, len(src), _BLOCK_ROWS):
+        part = upto[at + 1:at + 1 + _BLOCK_ROWS]
+        np.cumsum(src[at:at + _BLOCK_ROWS], dtype=upto.dtype, out=part)
+        part += upto[at]
+    return upto
+
+
+def _run_counts(upto: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Rows of a and of b in the runs of sorted rows starts[k] to ends[k]."""
+    nb = (upto[ends] - upto[starts]).astype(np.int64)
+    return ends - starts - nb, nb
 
 
 def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
@@ -234,14 +263,55 @@ def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
     and nb[t] rows of b.
     """
     starts, ends = _chains(np.flatnonzero(lcp >= length))
-    # rows of b among sorted rows 0..t, read at the row before each start
-    # and at each run's last row
-    b_upto = np.cumsum(src, dtype=np.int32 if len(src) < 1 << 31 else np.int64)
-    b_first = b_upto[starts - 1].astype(np.int64)
-    if len(starts) and starts[0] == 0:
-        b_first[0] = 0
-    nb = b_upto[ends - 1] - b_first
-    return starts, b_first, ends - starts - nb, nb
+    upto = _b_upto(src)
+    na, nb = _run_counts(upto, starts, ends)
+    return starts, upto[starts].astype(np.int64), na, nb
+
+
+def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
+    """Z_j for j = 0..levels: the (a row, b row) pairs whose top j columns agree.
+
+    lcp and src are join_sort's.  At level j the links lcp < j are cuts,
+    and they split the sorted rows into segments; a segment of na rows of
+    a and nb rows of b holds na * nb agreeing pairs, so Z_0 = len(a) *
+    len(b).  One cumsum of src gives every segment's nb.  Each level reads
+    whichever list is shorter: its cuts, whose gaps are the segments, or
+    its links, whose chains are the segments of two rows or more.  The
+    links of a level are the links of the level below that reach it, and
+    its cuts are the cuts of the level above less those that reach their
+    level, so each list is found in lcp once, where the two lists meet,
+    and every other level filters its neighbour's.
+    """
+    upto = _b_upto(src)
+    meet = 0  # the first level with no more links than cuts
+    while meet <= levels and 2 * np.count_nonzero(lcp >= meet) > len(lcp):
+        meet += 1
+    z = np.zeros(levels + 1, dtype=np.int64)
+    for j in range(meet, levels + 1):
+        at = np.flatnonzero(lcp >= j) if j == meet else at[lcp[at] >= j]
+        na, nb = _run_counts(upto, *_chains(at))
+        z[j] = na @ nb
+    for j in range(meet - 1, -1, -1):
+        at = np.flatnonzero(lcp < j) if j == meet - 1 else at[lcp[at] < j]
+        bounds = np.concatenate(([0], at + 1, [len(src)]))
+        na, nb = _run_counts(upto, bounds[:-1], bounds[1:])
+        z[j] = na @ nb
+    return z
+
+
+def prefix_hist(lcp: np.ndarray, src: np.ndarray, cols: int) -> np.ndarray:
+    """Degree histogram of a[i] - b[j] over every pair, as degree_hist.
+
+    From join_sort's lcp and src for tables of cols columns: a difference
+    has degree cols-1-j exactly when its top j columns vanish and its next
+    does not, so that degree occurs Z_j - Z_{j+1} times, and hist[0] = Z_cols
+    counts the equal pairs.
+    """
+    z = prefix_counts(lcp, src, cols)
+    hist = np.empty(cols + 1, dtype=np.int64)
+    hist[0] = z[cols]
+    hist[1:] = (z[:-1] - z[1:])[::-1]
+    return hist
 
 
 def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
@@ -323,16 +393,8 @@ def join_hist(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     coefficients vanish, so Z_j = sum over runs of #a * #b, and degree
     cols-1-j occurs Z_j - Z_{j+1} times.
     """
-    cols = a.shape[1]
-    _, src, lcp = join_sort(a, (-b) % p, p)
-    z = np.empty(cols + 1, dtype=np.int64)
-    for j in range(cols + 1):
-        _, _, na, nb = scan_runs(lcp, src, j)
-        z[j] = na @ nb
-    hist = np.empty(cols + 1, dtype=np.int64)
-    hist[0] = z[cols]
-    hist[1:] = (z[:-1] - z[1:])[::-1]
-    return hist
+    src, lcp = join_sort(a, (-b) % p, p)[1:]
+    return prefix_hist(lcp, src, a.shape[1])
 
 
 def range_hist(tables: tuple, p: int, lo: int, hi: int) -> np.ndarray:

@@ -127,7 +127,13 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
 
 
 def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
-    """The pairs of the two top families: F_0^(s-2) and its shift to block 1."""
+    """The pairs of the two top families: F_0^(s-2) and its shift to block 1.
+
+    Each family has 2^m members, m = (p-1)/4, and m is capped at SEARCH_CAP.
+    """
+    m = (ctx.p - 1) // 4
+    if m > SEARCH_CAP:
+        raise TooLarge(f"(p-1)/4 = {m} exceeds search cap {SEARCH_CAP}")
     fam_a = _family_pair(ctx, ctx.s - 2)
     return fam_a, _scaled(ctx, fam_a, 1)
 
@@ -145,8 +151,6 @@ def minimal_search(ctx: FieldCtx,
         return min_degree_direct(ctx)
     t0 = time.monotonic()
     m = (ctx.p - 1) // 4
-    if m > SEARCH_CAP:
-        raise TooLarge(f"(p-1)/4 = {m} exceeds search cap {SEARCH_CAP}")
     marks = [time.perf_counter()]  # the end of each of _STAGES in turn
     fam_a, fam_b = _search_pairs(ctx)
     n = len(fam_a[0]) * len(fam_a[1])

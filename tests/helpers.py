@@ -207,6 +207,23 @@ def gray_walk_census(ctx, lo, hi):
     return hist
 
 
+def scan_runs_prefix_counts(lcp, src, levels):
+    """Z_j for j = 0..levels from join_sort's lcp and src, one scan_runs a level.
+
+    Z_j sums na * nb over the runs whose top j columns agree; at j = 0
+    every row is in one run.
+    """
+    import numpy as np
+
+    from sqrtpoly import _kernels
+
+    z = np.empty(levels + 1, dtype=np.int64)
+    for j in range(levels + 1):
+        _, _, na, nb = _kernels.scan_runs(lcp, src, j)
+        z[j] = na @ nb
+    return z
+
+
 def gray_walk_vanishing(ctx, d, ell, lo, hi, zeta=None):
     """#{Gray indices i in [lo, hi) : sum_n eps_n zeta^(n*ell) = 0}.
 

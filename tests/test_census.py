@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqrtpoly import _kernels, census, fourier, make_field_ctx
+from sqrtpoly import _kernels, census, fourier, make_field_ctx, search
 from sqrtpoly.census import DegreeHistogram, family_census, full_census
 from sqrtpoly.errors import (InvalidDivisor, RangeOutOfBounds, SqrtPolyError,
                              TooLarge, ValidationError)
@@ -9,7 +9,10 @@ from sqrtpoly.signs import SignVector, orbit_stats
 
 from .fixtures import ALL_COUNTS, TS_COUNTS
 from .helpers import (dense_family_census, dense_vanishing_words,
-                      gray_walk_census)
+                      gray_walk_census, scan_runs_prefix_counts)
+
+# p = 1 mod 4 at s = 2, 3, 4 and 5; census_shard at p = 73 takes about 1 s
+P_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73)
 
 
 def brute_degree_counts(ctx):
@@ -70,7 +73,8 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
 
 
 def test_census_range_exactness_check(monkeypatch, ctx13):
-    # a join that loses a pair must be refused, not reported
+    # a half-table join that loses a pair must be refused, not reported:
+    # through a shard, and through full_census at a p = 3 mod 4
     real = census._kernels.join_hist
 
     def lossy(a, b, p):
@@ -80,9 +84,115 @@ def test_census_range_exactness_check(monkeypatch, ctx13):
 
     monkeypatch.setattr(census._kernels, "join_hist", lossy)
     with pytest.raises(census.SqrtPolyError, match="counted"):
-        full_census(ctx13)
+        census.census_shard(ctx13, 0, 1)
+    with pytest.raises(census.SqrtPolyError, match="counted"):
+        full_census(make_field_ctx(19))
     with pytest.raises(census.SqrtPolyError, match="zero polynomial"):
         census._hist_to_counts(np.array([1, 0, 2]))
+    with pytest.raises(census.SqrtPolyError, match="-1 vectors of degree 2"):
+        census._hist_to_counts(np.array([0, 3, 0, -1]))
+
+
+@pytest.mark.parametrize("level, change, match", [
+    (0, -1, "counted 63 of 64"),  # a pair lost from Z_0
+    (3, 1, "paired 1 equal halves"),  # Z_m, the equal halves
+    (1, 100, "counted -36 vectors of degree 5"),  # Z_1 above Z_0
+])
+def test_block_census_exactness_check(monkeypatch, ctx13, level, change, match):
+    # a block join whose Z_j are off must be refused, not reported
+    real = census._kernels.prefix_counts
+
+    def lossy(lcp, src, levels):
+        z = real(lcp, src, levels)
+        z[level] += change
+        return z
+
+    monkeypatch.setattr(census._kernels, "prefix_counts", lossy)
+    with pytest.raises(SqrtPolyError, match=match):
+        full_census(ctx13)
+
+
+@pytest.mark.parametrize("p", P_1_MOD_4)
+def test_block_census_matches_half_table_join(p):
+    # the routes join different tables, the search's block families and
+    # the half tables of the coefficient weights, and share only
+    # join_sort and prefix_counts, which the oracles below check
+    ctx = make_field_ctx(p)
+    block = full_census(ctx, max_r=ctx.r)
+    half = census.census_shard(ctx, 0, 1, max_r=ctx.r)
+    assert block.meta["route"] == census.BLOCK_JOIN
+    assert half.meta["route"] == census.HALF_TABLE_JOIN
+    assert block.counts == half.counts
+    assert block.total == 1 << ctx.r
+    assert block.min_degree() >= ctx.r // 2
+
+
+def test_census_route_choice(monkeypatch):
+    # the block join for one shard at p = 1 mod 4, the half tables for
+    # shards and p = 3 mod 4, and the cap before either
+    assert full_census(make_field_ctx(29), shards=3).meta["route"] == \
+        census.HALF_TABLE_JOIN
+    assert full_census(make_field_ctx(23)).meta["route"] == census.HALF_TABLE_JOIN
+    # m = 27 and 28: past the search's cap, refused before any table
+    for p in (109, 113):
+        with pytest.raises(TooLarge, match="search cap"):
+            full_census(make_field_ctx(p), max_r=p)
+
+    def refuse(ctx):
+        raise AssertionError("the block join ran")
+
+    monkeypatch.setattr(census.search, "_search_pairs", refuse)
+    with pytest.raises(TooLarge, match="cap"):
+        full_census(make_field_ctx(61), max_r=26)
+    assert full_census(make_field_ctx(29), shards=2).counts == ALL_COUNTS[29]
+    with pytest.raises(AssertionError, match="block join"):
+        full_census(make_field_ctx(29))
+
+
+def _random_join(rng, n, levels, b_share):
+    lcp = rng.integers(0, levels + 1, size=max(n - 1, 0)).astype(np.uint8)
+    src = (rng.random(n) < b_share).astype(np.int8)
+    return lcp, src
+
+
+def test_prefix_counts_matches_scan_runs_on_random_joins():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        n, levels = int(rng.integers(0, 50)), int(rng.integers(0, 7))
+        lcp, src = _random_join(rng, n, levels, rng.choice([0.0, 0.3, 0.5, 1.0]))
+        z = _kernels.prefix_counts(lcp, src, levels)
+        assert np.array_equal(z, scan_runs_prefix_counts(lcp, src, levels)), trial
+        nb = int(src.sum())
+        assert z[0] == (n - nb) * nb
+
+
+@pytest.mark.parametrize("lcp, src, want", [
+    ([], [], [0, 0, 0]),  # no rows
+    ([], [1], [0, 0, 0]),  # one row
+    ([0, 0, 0], [0, 1, 0, 1], [4, 0, 0]),  # every link cut: no run above 0
+    ([2, 2, 2], [0, 1, 0, 1], [4, 4, 4]),  # one run at every level
+    ([2, 1, 0, 2], [0, 0, 0, 0, 0], [0, 0, 0]),  # rows of a only
+    ([2, 1, 0, 2], [1, 1, 1, 1, 1], [0, 0, 0]),  # rows of b only
+    ([2, 0, 1, 2], [0, 1, 1, 0, 1], [6, 3, 2]),
+])
+def test_prefix_counts_edge_cases(lcp, src, want):
+    lcp, src = np.array(lcp, dtype=np.uint8), np.array(src, dtype=np.int8)
+    assert _kernels.prefix_counts(lcp, src, 2).tolist() == want
+    assert scan_runs_prefix_counts(lcp, src, 2).tolist() == want
+
+
+@pytest.mark.parametrize("p", (13, 29, 41, 61))
+def test_prefix_counts_matches_scan_runs_on_real_joins(p):
+    # the search's block join and the census's half-table join
+    ctx = make_field_ctx(p)
+    _, src, lcp = _kernels.join_sort(*search._search_pairs(ctx), p)
+    m = ctx.r // 2
+    assert np.array_equal(_kernels.prefix_counts(lcp, src, m),
+                          scan_runs_prefix_counts(lcp, src, m))
+    a, b, _ = _kernels.half_tables(census._coeff_weights(ctx), p)
+    _, src, lcp = _kernels.join_sort(a, (-b) % p, p)
+    assert np.array_equal(_kernels.prefix_counts(lcp, src, ctx.r),
+                          scan_runs_prefix_counts(lcp, src, ctx.r))
 
 
 def test_census_cap(monkeypatch):
@@ -259,6 +369,16 @@ def test_histogram_merge_and_csv():
     rows = m.to_csv_rows()
     assert rows[0] == [13, 2, 3, 3, "1", "all", 1]
     assert len(rows[0]) == len(census.CSV_HEADER)
+
+
+def test_histogram_merge_refuses_mixed_routes(ctx13):
+    block = full_census(ctx13)
+    half = census.census_shard(ctx13, 0, 1)
+    with pytest.raises(ValidationError, match="route = block join"):
+        block.merge(half)
+    with pytest.raises(ValidationError, match="route = half-table join"):
+        half.merge(block)
+    assert half.merge(census.census_shard(ctx13, 0, 1)).total == 2 << ctx13.r
 
 
 def test_histogram_merge_refuses_mixed_p_or_family():

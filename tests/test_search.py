@@ -222,6 +222,26 @@ def test_packed_key_order_breaks_ties(p, m):
     _check_join_sort(a, b, p)
 
 
+@pytest.mark.parametrize("block_rows", (1, 7, 64))
+def test_join_sort_across_block_edges(monkeypatch, block_rows):
+    # the links, their lcp and the tied links are read a block of rows at
+    # a time, and the b rows are counted a block at a time; small blocks
+    # put block edges inside tied runs and inside the runs of scan_runs
+    monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    a = rng.integers(0, 2, size=(150, 22)).astype(np.uint8)
+    b = rng.integers(0, 2, size=(100, 22)).astype(np.uint8)
+    a[:, :2] = rng.integers(0, 89, size=(150, 2))
+    b[:40] = a[:40]
+    _check_join_sort(a, b, 89)
+    _, src, lcp = _kernels.join_sort(a, b, 89)
+    for j in (0, 5, 22):
+        starts, b_first, na, nb = _kernels.scan_runs(lcp, src, j)
+        want = sum(np.array_equal(x[22 - j:], y[22 - j:]) for x in a for y in b)
+        assert na @ nb == want, j
+        assert np.array_equal(b_first, np.cumsum(src)[starts] - src[starts])
+
+
 def test_join_sort_with_no_column_beside_the_index():
     # p = 2^61 - 1: a value takes 61 bits, so no column fits beside the
     # 9-bit index, every row ties on the key, and the tie pass sorts all
