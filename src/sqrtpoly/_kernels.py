@@ -257,15 +257,15 @@ def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
     """Runs of join_sort's rows whose top `length` columns agree.
 
     A run is a maximal chain of links lcp >= length, so it holds at least
-    two rows; a row in no run pairs with nothing.  Returns
-    (starts, b_first, na, nb): run t begins at sorted row starts[t],
-    b_first[t] rows of b come before it, and it holds na[t] rows of a
-    and nb[t] rows of b.
+    two rows; a row in no run pairs with nothing.  Returns (starts, na,
+    nb): run t begins at sorted row starts[t] and holds na[t] rows of a
+    and nb[t] rows of b.  Only the rows of the runs are read for nb.
     """
     starts, ends = _chains(np.flatnonzero(lcp >= length))
-    upto = _b_upto(src)
-    na, nb = _run_counts(upto, starts, ends)
-    return starts, upto[starts].astype(np.int64), na, nb
+    size = ends - starts
+    nb = np.add.reduceat(src[_spans(starts, size)], np.cumsum(size) - size,
+                         dtype=np.int64)
+    return starts, size - nb, nb
 
 
 def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
@@ -323,7 +323,7 @@ def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
     its b rows, in order: pair t of a run of nb b rows is (t // nb, t % nb).
     Only the sorted rows of the runs that hold the pairs are read.
     """
-    starts, _, na, nb = runs
+    starts, na, nb = runs
     upto = np.cumsum(na * nb)  # pairs in the runs up to each run
     total = int(upto[-1]) if len(upto) else 0
     t = np.arange(total if want is None else min(want, total), dtype=np.int64)

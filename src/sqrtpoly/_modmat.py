@@ -3,13 +3,16 @@
 Every sign <-> coefficient transform and every square-root check is one
 number-theoretic transform, ntt: X[i, k] = sum_n rows[i, n] *
 gamma^(e n k) over F_p for k below the row length L, which divides
-p - 1.  It splits L = a * b by the smallest prime factor a
-(Cooley-Tukey, as Pollard carried it to finite fields), so it never
-builds an L x L power table.  A prime length, or rows for which a split
-is estimated to cost more (sparse rows, short rows, or many rows, which
-one BLAS product serves at once), is a leaf: power_sums, the table route,
-sums sum_n rows[i, n] * gamma^(n * exps[k]) from a table (power_block)
-built only for the columns some row uses, a block of exps at a time.
+p - 1.  It splits L = a * b with a the largest divisor of L whose
+square is at most L, so both sides are near sqrt(L) (Bailey's four-step
+split, over F_p as Pollard carried Cooley-Tukey there), and it never
+builds an L x L power table.  Where to split and where to stop comes
+from one cost estimate per call, the plan.
+A prime length, or rows for which a split is estimated to cost more
+(sparse rows, short rows, or many rows, which one BLAS product serves at
+once), is a leaf: power_sums, the table route, sums sum_n rows[i, n] *
+gamma^(n * exps[k]) from a table (power_block) built only for the
+columns some row uses, a block of exps at a time.
 Products go through matmul_mod: float64 BLAS when every partial sum
 stays below 2^53, where doubles are exact, and Python integers
 otherwise.  A large prime factor of L (Bluestein's case) stays a dense
@@ -17,8 +20,6 @@ leaf.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -95,36 +96,54 @@ def power_sums(ctx, rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cost(factors: list[int], m: int) -> int:
-    """Estimated cost of ntt on m dense rows of length L = prod(factors).
+def _split(length: int) -> tuple[int, int] | None:
+    """(a, b) with a * b = length and a the largest divisor with a^2 <= length.
 
-    The cheaper of a leaf, an L x L table times the rows, and a split:
-    its sub-transforms, twiddles and transposes plus a fixed cost.
+    Built from the prime factors of length; None when length is 1 or prime.
     """
-    n = math.prod(factors)
-    leaf = n * n * (_TABLE_COST + m)
-    if len(factors) <= 1:
-        return leaf
-    a = factors[0]
-    split = (_cost(factors[1:], m * a) + a * a * (_TABLE_COST + m * n // a)
-             + m * n * _LEVEL_COST + _SPLIT_COST)
-    return min(leaf, split)
+    divisors = {1}
+    for f in prime_factors(length):
+        divisors |= {d * f for d in divisors}
+    a = max(d for d in divisors if d * d <= length)
+    return (a, length // a) if a > 1 else None
 
 
-def _ntt(ctx, rows: np.ndarray, e: int, factors: list[int]) -> np.ndarray:
+def _plan(length: int, m: int, plan: dict) -> int:
+    """Estimated cost of ntt on m dense rows of the given length.
+
+    The cheaper of a leaf, a length x length table times the rows, and a
+    split by _split: its two sides' transforms, twiddles and transposes
+    plus a fixed cost.  plan[(length, m)] records (cost, split), split
+    None for a leaf, for this node and every node below it.  A length is
+    not split when its twiddles and fixed cost alone exceed the leaf.
+    """
+    if (length, m) not in plan:
+        leaf = length * length * (_TABLE_COST + m)
+        level = m * length * _LEVEL_COST + _SPLIT_COST
+        split = _split(length) if level < leaf else None
+        plan[length, m] = (leaf, None)
+        if split:
+            a, b = split
+            cost = _plan(b, m * a, plan) + _plan(a, m * b, plan) + level
+            if cost < leaf:
+                plan[length, m] = (cost, split)
+    return plan[length, m][0]
+
+
+def _ntt(ctx, rows: np.ndarray, e: int, plan: dict) -> np.ndarray:
     m, length = rows.shape
-    if (len(factors) <= 1 or np.count_nonzero(_used_columns(rows)) * length
-            * (_TABLE_COST + m) <= _cost(factors, m)):
+    cost, split = plan[length, m]
+    if (split is None or np.count_nonzero(_used_columns(rows)) * length
+            * (_TABLE_COST + m) <= cost):
         return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
-    p, a = ctx.p, factors[0]
-    b = length // a
+    p, (a, b) = ctx.p, split
     # n = n1 + a n2, k = k1 + b k2: b-point transforms of the a decimated
     # sub-rows, twiddles gamma^(e n1 k1), then a-point transforms
     sub = rows.reshape(m, b, a).transpose(0, 2, 1).reshape(m * a, b)
-    y = _ntt(ctx, sub, e * a % (p - 1), factors[1:]).reshape(m, a, b)
+    y = _ntt(ctx, sub, e * a % (p - 1), plan).reshape(m, a, b)
     y = y * power_block(ctx, np.arange(a, dtype=np.int64),
                         e * np.arange(b, dtype=np.int64) % (p - 1)) % p
-    z = _ntt(ctx, y.transpose(0, 2, 1).reshape(m * b, a), e * b % (p - 1), factors[:1])
+    z = _ntt(ctx, y.transpose(0, 2, 1).reshape(m * b, a), e * b % (p - 1), plan)
     return z.reshape(m, b, a).transpose(0, 2, 1).reshape(m, length)
 
 
@@ -135,13 +154,15 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     taken as one row.  Exact while p^2 < 2^63: each twiddle product of
     two residues then fits int64, and ctx.gamma_powers refuses larger p
     with TooLarge before any product is formed.  Every sum goes through
-    matmul_mod.
+    matmul_mod.  The split plan is estimated once per call.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    length = rows.shape[-1]
+    m, length = rows.shape
     if e * length % (ctx.p - 1):
         raise OrderDoesNotDivide(f"gamma^{e} has no order dividing L = {length}")
-    return _ntt(ctx, rows, e % (ctx.p - 1), prime_factors(length))
+    plan = {}
+    _plan(length, m, plan)
+    return _ntt(ctx, rows, e % (ctx.p - 1), plan)
 
 
 def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def minimal_search(ctx: FieldCtx,
     # a run of rows whose top `best` coefficients agree, na of them from a
     # and nb from b, holds na * nb minimizing pairs
     runs = _kernels.scan_runs(lcp, src, best)
-    _, _, na, nb = runs
+    _, na, nb = runs
     minimizer_count = int(na @ nb)
     count_only = minimizer_count > pair_cap
 

@@ -219,7 +219,7 @@ def scan_runs_prefix_counts(lcp, src, levels):
 
     z = np.empty(levels + 1, dtype=np.int64)
     for j in range(levels + 1):
-        _, _, na, nb = _kernels.scan_runs(lcp, src, j)
+        _, na, nb = _kernels.scan_runs(lcp, src, j)
         z[j] = na @ nb
     return z
 

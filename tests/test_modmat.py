@@ -5,6 +5,7 @@ import pytest
 from sqrtpoly import _modmat, make_field_ctx, search
 from sqrtpoly._modmat import matmul_mod, ntt, power_sums
 from sqrtpoly.errors import OrderDoesNotDivide, TooLarge
+from sqrtpoly.field import prime_factors
 
 
 def test_matmul_mod_exact_past_int64():
@@ -70,13 +71,17 @@ def _dense_rows(ctx, length, seed):
     return rows
 
 
+def _split_always(monkeypatch):
+    monkeypatch.setattr(_modmat, "_TABLE_COST", 1 << 40)
+    monkeypatch.setattr(_modmat, "_LEVEL_COST", 0)
+    monkeypatch.setattr(_modmat, "_SPLIT_COST", 0)
+
+
 @pytest.fixture(params=["estimated", "always"])
 def splits(request, monkeypatch):
     """ntt's leaf/split choice as estimated, or a split wherever one exists."""
     if request.param == "always":
-        monkeypatch.setattr(_modmat, "_TABLE_COST", 1 << 40)
-        monkeypatch.setattr(_modmat, "_LEVEL_COST", 0)
-        monkeypatch.setattr(_modmat, "_SPLIT_COST", 0)
+        _split_always(monkeypatch)
     return request.param
 
 
@@ -108,6 +113,60 @@ def test_ntt_with_a_large_prime_factor():
     ctx = make_field_ctx(100003)
     rows = _dense_rows(ctx, ctx.r, 3)
     ks = np.r_[0, 1, ctx.r - 1, np.random.default_rng(4).integers(0, ctx.r, 40)]
+    for e in (2, -2):
+        got = ntt(ctx, rows, e)
+        assert np.array_equal(got[:, ks], power_sums(ctx, rows, e * ks))
+
+
+@pytest.mark.parametrize("length, split", [
+    (2000, (40, 50)), (1001, (13, 77)), (504, (21, 24)), (393216, (512, 768)),
+    (4, (2, 2)), (2381, None), (2, None), (1, None)])
+def test_split_is_the_divisor_pair_nearest_the_square_root(length, split):
+    assert _modmat._split(length) == split
+
+
+def _leaf_lengths(monkeypatch):
+    """The row lengths of ntt's power_sums leaves, in call order."""
+    lengths = []
+    power_sums = _modmat.power_sums
+    monkeypatch.setattr(_modmat, "power_sums",
+                        lambda ctx, rows, exps: lengths.append(rows.shape[1])
+                        or power_sums(ctx, rows, exps))
+    return lengths
+
+
+def test_one_row_of_2000_is_two_table_products(monkeypatch):
+    ctx = make_field_ctx(4001)
+    lengths = _leaf_lengths(monkeypatch)
+    rows = _dense_rows(ctx, ctx.r, 5)[:1]
+    got = ntt(ctx, rows, 2)
+    assert lengths == [50, 40]
+    assert np.array_equal(got, power_sums(ctx, rows, 2 * np.arange(ctx.r)))
+    # the plan is made per call, so the next call follows changed costs
+    _split_always(monkeypatch)
+    lengths.clear()
+    assert np.array_equal(ntt(ctx, rows, 2), got)
+    assert lengths and all(prime_factors(n) == [n] for n in lengths), lengths
+
+
+@pytest.mark.parametrize("splits", ["always"], indirect=True)
+@pytest.mark.parametrize("p", [41, 1009, 2003, 4001])
+def test_every_leaf_is_prime_when_splits_always_win(monkeypatch, splits, p):
+    ctx = make_field_ctx(p)
+    lengths = _leaf_lengths(monkeypatch)
+    rows = np.random.default_rng(p).integers(1, p, (2, ctx.r))
+    got = ntt(ctx, rows, 2)
+    assert lengths and all(prime_factors(n) == [n] for n in lengths), lengths
+    assert np.array_equal(got, power_sums(ctx, rows, 2 * np.arange(ctx.r)))
+
+
+@pytest.mark.parametrize("p", [65537, 786433])
+def test_ntt_at_long_smooth_lengths(p):
+    # r = 2^15 and 3 * 2^17, checked at sampled k as the large prime factor;
+    # entries below 2^14 keep the power_sums oracle on the float64 route
+    ctx = make_field_ctx(p)
+    rows = np.random.default_rng(6).integers(-(1 << 14), 1 << 14, (1, ctx.r))
+    ks = np.r_[0, 1, ctx.r - 1, np.random.default_rng(7).integers(0, ctx.r, 40)]
     for e in (2, -2):
         got = ntt(ctx, rows, e)
         assert np.array_equal(got[:, ks], power_sums(ctx, rows, e * ks))
