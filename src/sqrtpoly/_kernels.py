@@ -2,31 +2,32 @@
 and the minimal-degree search (Horowitz-Sahni).
 
 Each of them asks how many pairs (a row of A, a row of B) agree on their
-top j columns.  join_sort sorts the rows of both tables together, top
-column first, and gives the common-prefix length of each adjacent pair
-of sorted rows.  It packs one uint64 key per row, the row's top columns
-above its index, and sorts the keys by value: the sorted keys give the
-order and the prefix lengths, and only the rows that tie on all the
-key's columns are read again and sorted on the rest.  A table is a 2-d
-array of rows, or a pair (P, Q) of half tables whose row u * len(Q) + v
-is P[u] + Q[v] mod p; a pair's key is packed column by column from
-broadcast sums, so its rows are never built.  scan_runs cuts the sorted
-rows into runs that agree on their top j columns and counts each run's
-rows from A and from B; a run of na rows of A and nb rows of B holds
-na * nb agreeing pairs.  prefix_counts sums them at every j, Z_j, from
-one cumsum of the rows' tables, and prefix_hist turns the Z_j into the
-degree histogram of the pairs' differences.
+top j columns.  Every table is a pair (P, Q) whose row u * len(Q) + v is
+P[u] + Q[v] mod p, a half list held as the sum of two quarter lists
+(Schroeppel-Shamir), and no table of its rows is ever built.  join_sort
+sorts the rows of both tables together, top column first, and gives the
+common-prefix length of each adjacent pair of sorted rows.  It packs one
+uint64 key per row, the row's top columns above its index, from
+broadcast sums of P and Q, and sorts the keys by value: the sorted keys
+give the order and the prefix lengths, and only the rows that tie on
+all the key's columns are built and sorted on the rest.  scan_runs cuts
+the sorted rows into runs that agree on their top j columns and counts
+each run's rows from A and from B; a run of na rows of A and nb rows of
+B holds na * nb agreeing pairs.  prefix_counts sums them at every j,
+Z_j, from one cumsum of the rows' tables, and prefix_hist turns the Z_j
+into the degree histogram of the pairs' differences.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
-one place that turns sign words into signs.  With half_tables A and B
-of the low and the high signs, a vector's row is A + B mod p, and its
-top j entries vanish exactly when its A and -B rows agree on them.
-range_hist counts the degrees of A + B over a range of Gray indices by
-join_hist, the prefix_hist of A against -B; its hist[0] counts the rows
-that vanish outright.  run_pairs
-lists the agreeing pairs themselves, and shard_range is the one rule
-that cuts Gray indices into shards.
+one place that turns sign words into signs.  With half_tables A and B,
+the sign_pairs of the low and the high signs, a vector's row is A + B
+mod p, and its top j entries vanish exactly when its A and -B rows agree
+on them.  range_hist counts the degrees of A + B over a range of Gray
+indices by one join_hist (the prefix_hist of A against -B) per aligned
+block of indices, whose words are a sub-pair of A against a sub-pair of
+B; its hist[0] counts the rows that vanish outright.  run_pairs lists
+the agreeing pairs themselves, and shard_range is the one rule that cuts
+Gray indices into shards.  No side of a join holds over 2^JOIN_CAP rows.
 """
 
 from __future__ import annotations
@@ -36,21 +37,15 @@ import time
 import numpy as np
 
 from . import _modmat
-from .errors import RangeOutOfBounds, SqrtPolyError
+from .errors import RangeOutOfBounds, SqrtPolyError, TooLarge
 
 _BLOCK_ROWS = 1 << 16  # rows of a table packed at a time: 512 KB of keys
+JOIN_CAP = 26  # a side of a join holds at most 2^JOIN_CAP rows
 
 
-def _height(table) -> int:
-    """Rows of a table: a 2-d array, or a pair (P, Q) of len(P) * len(Q) rows."""
-    if isinstance(table, tuple):
-        return len(table[0]) * len(table[1])
-    return len(table)
-
-
-def _width(table) -> int:
-    """Columns of a table's rows."""
-    return (table[0] if isinstance(table, tuple) else table).shape[1]
+def _height(pair) -> int:
+    """Rows of a pair (P, Q): len(P) * len(Q)."""
+    return len(pair[0]) * len(pair[1])
 
 
 def _sum_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -63,14 +58,6 @@ def _sum_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return s
 
 
-def _column(table, j: int, p: int) -> np.ndarray:
-    """Column j of a table's rows, as _packed_key reads them."""
-    if not isinstance(table, tuple):
-        return table[:, j].astype(np.uint64)
-    hi, lo = table
-    return _sum_mod(hi[:, j, None], lo[None, :, j], p).ravel()
-
-
 def pair_rows(pair: tuple, rows: np.ndarray, p: int) -> np.ndarray:
     """Rows u * len(Q) + v of a pair (P, Q), as (P[u] + Q[v]) mod p in P's dtype."""
     hi, lo = pair
@@ -78,13 +65,25 @@ def pair_rows(pair: tuple, rows: np.ndarray, p: int) -> np.ndarray:
     return _sum_mod(hi[u], lo[v], p).astype(hi.dtype, copy=False)
 
 
-def _blocks(table) -> list:
-    """The table cut into sub-tables of about _BLOCK_ROWS rows, in row order."""
-    if isinstance(table, tuple):
-        hi, lo = table
-        step = max(1, _BLOCK_ROWS // len(lo))
-        return [(hi[u:u + step], lo) for u in range(0, len(hi), step)]
-    return [table[r:r + _BLOCK_ROWS] for r in range(0, len(table), _BLOCK_ROWS)]
+def _blocks(pair) -> list:
+    """The pair cut into sub-pairs of about _BLOCK_ROWS rows, in row order."""
+    hi, lo = pair
+    step = max(1, _BLOCK_ROWS // len(lo))
+    return [(hi[u:u + step], lo) for u in range(0, len(hi), step)]
+
+
+def _sub_pair(pair, start: int, size: int) -> tuple:
+    """Rows start..start + size - 1 of a pair, as a pair of views.
+
+    size is a power of two and start a multiple of it, and len(Q) is a
+    power of two, so the rows are whole rows of P against all of Q, or
+    one row of P against a slice of Q.
+    """
+    hi, lo = pair
+    u, v = divmod(start, len(lo))
+    if size >= len(lo):
+        return hi[u:u + size // len(lo)], lo
+    return hi[u:u + 1], lo[v:v + size]
 
 
 def _packed_key(a, b, p: int) -> tuple[np.ndarray, int, int]:
@@ -93,21 +92,20 @@ def _packed_key(a, b, p: int) -> tuple[np.ndarray, int, int]:
     Row t of the stack (a's rows, then b's) needs ibits bits for t, and
     its key holds t in its low ibits bits and, above them, as many top
     columns as fit, c of them, `bits` bits each and a higher column in
-    higher bits.  Returns (key, c, ibits).  The rows are not stacked,
-    and a pair's rows are never built.  The key is packed a block of
-    rows at a time, so the block stays in cache while its columns are
-    shifted in.
+    higher bits.  Returns (key, c, ibits).  The pairs' rows are never
+    built.  The key is packed a block of rows at a time, so the block
+    stays in cache while its columns are shifted in.
     """
-    bits, cols = (p - 1).bit_length(), _width(a)
+    bits, cols = (p - 1).bit_length(), a[0].shape[1]
     ibits = (_height(a) + _height(b) - 1).bit_length()
     c = min(cols, (64 - ibits) // bits)
     key = np.zeros(_height(a) + _height(b), dtype=np.uint64)
     at = 0
-    for block in _blocks(a) + _blocks(b):
-        part = key[at:at + _height(block)]
+    for hi, lo in _blocks(a) + _blocks(b):
+        part = key[at:at + len(hi) * len(lo)]
         for j in range(cols - 1, cols - 1 - c, -1):
             part <<= np.uint64(bits)
-            part |= _column(block, j, p)
+            part |= _sum_mod(hi[:, j, None], lo[None, :, j], p).ravel()
         part <<= np.uint64(ibits)
         part |= np.arange(at, at + len(part), dtype=np.uint64)
         at += len(part)
@@ -140,41 +138,28 @@ def _spans(starts: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(size) - size), size) + np.arange(size.sum())
 
 
-def _rows(table, idx: np.ndarray, p: int) -> np.ndarray:
-    """Rows idx of a table, built for a pair by pair_rows."""
-    return pair_rows(table, idx, p) if isinstance(table, tuple) else table[idx]
-
-
-def _low_columns(table, n: int):
-    """The table of the low n columns of a table's rows."""
-    if isinstance(table, tuple):
-        return tuple(t[:, :n] for t in table)
-    return table[:, :n]
-
-
 def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
                 tied: np.ndarray, rest: int) -> np.ndarray:
     """Sort the runs of rows tied on their key columns by their `rest` others.
 
     order is sorted by key columns and then index, and lcp counts shared
     key columns; tied lists the links whose rows share all of them.  The
-    low `rest` columns of those runs' rows are read, each run is sorted
+    low `rest` columns of those runs' rows are built, each run is sorted
     again on them, top first, and then its index, and the tied links'
     lcp are extended over them.  Returns the columns read.
     """
     if not len(tied):
         return np.zeros((0, rest), dtype=np.uint8)
     na = _height(a)
-    a, b = _low_columns(a, rest), _low_columns(b, rest)
+    a, b = (tuple(t[:, :rest] for t in pair) for pair in (a, b))
     starts, ends = _chains(tied)
     at = _spans(starts, ends - starts)
     run = np.repeat(np.arange(len(starts)), ends - starts)  # each row's tied run
     sub = order[at]
     in_a = sub < na
-    rows = np.empty((len(sub), rest), dtype=np.result_type(
-        *(t[0] if isinstance(t, tuple) else t for t in (a, b))))
-    rows[in_a] = _rows(a, sub[in_a], p)
-    rows[~in_a] = _rows(b, sub[~in_a] - na, p)
+    rows = np.empty((len(sub), rest), dtype=np.result_type(a[0], b[0]))
+    rows[in_a] = pair_rows(a, sub[in_a], p)
+    rows[~in_a] = pair_rows(b, sub[~in_a] - na, p)
     # a run's rows come in index order, and lexsort is stable
     perm = np.lexsort([*rows.T, run])
     order[at] = sub[perm]
@@ -188,20 +173,19 @@ def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
 def join_sort(a, b, p: int, stats: dict | None = None):
     """Sort the rows of tables a and b together, top column first.
 
-    a and b are tables: 2-d arrays of rows, or pairs (P, Q) whose row
-    u * len(Q) + v is P[u] + Q[v] mod p, with values in [0, p) and the
-    same number of columns.  Returns (order, src, lcp): sorted row t is
-    row order[t] of a stacked over b, src[t] is its table (0 for a, 1
-    for b), and lcp[t] is how many top columns sorted rows t and t+1
-    share.  Equal rows keep a before b and their own order, as in a
-    stable sort.
+    a and b are pairs (P, Q) whose row u * len(Q) + v is P[u] + Q[v]
+    mod p, with values in [0, p) and the same number of columns.
+    Returns (order, src, lcp): sorted row t is row order[t] of a stacked
+    over b, src[t] is its table (0 for a, 1 for b), and lcp[t] is how
+    many top columns sorted rows t and t+1 share.  Equal rows keep a
+    before b and their own order, as in a stable sort.
 
     Each row gets one uint64 key: as many top columns as fit above its
     stacked index (c of them, maybe none), so sorting the keys by value
     sorts the rows on those columns and then by index, and the index is
     read back from the sorted keys.  Only rows whose c top columns tie
-    with a neighbour's have their other columns read, and each such run
-    is sorted again on those columns and its index.  When stats is a
+    with a neighbour's are built, for their other columns, and each such
+    run is sorted again on those columns and its index.  When stats is a
     dict, join_sort puts in it the time the key was packed
     (`packed_at`, by time.perf_counter), c (`key_columns`), the rows
     read for ties (`tied_rows`) and the bytes of the arrays it built
@@ -211,7 +195,7 @@ def join_sort(a, b, p: int, stats: dict | None = None):
     if stats is not None:
         stats["packed_at"] = time.perf_counter()
     key.sort()
-    bits, rest = (p - 1).bit_length(), _width(a) - c  # rest: columns not in the key
+    bits, rest = (p - 1).bit_length(), a[0].shape[1] - c  # rest: columns not in the key
     lcp = np.empty(max(len(key) - 1, 0), dtype=np.uint8)
     tied = [np.zeros(0, dtype=np.intp)]
     for at in range(0, len(lcp), _BLOCK_ROWS):
@@ -280,7 +264,8 @@ def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
     links of a level are the links of the level below that reach it, and
     its cuts are the cuts of the level above less those that reach their
     level, so each list is found in lcp once, where the two lists meet,
-    and every other level filters its neighbour's.
+    and every other level filters its neighbour's.  The levels above the
+    first that no link reaches hold no pairs and are not read.
     """
     upto = _b_upto(src)
     meet = 0  # the first level with no more links than cuts
@@ -289,6 +274,8 @@ def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
     z = np.zeros(levels + 1, dtype=np.int64)
     for j in range(meet, levels + 1):
         at = np.flatnonzero(lcp >= j) if j == meet else at[lcp[at] >= j]
+        if not len(at):
+            break
         na, nb = _run_counts(upto, *_chains(at))
         z[j] = na @ nb
     for j in range(meet - 1, -1, -1):
@@ -300,12 +287,12 @@ def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
 
 
 def prefix_hist(lcp: np.ndarray, src: np.ndarray, cols: int) -> np.ndarray:
-    """Degree histogram of a[i] - b[j] over every pair, as degree_hist.
+    """Degree histogram of a[i] - b[j] over every pair of rows.
 
     From join_sort's lcp and src for tables of cols columns: a difference
     has degree cols-1-j exactly when its top j columns vanish and its next
-    does not, so that degree occurs Z_j - Z_{j+1} times, and hist[0] = Z_cols
-    counts the equal pairs.
+    does not, so hist[cols-j] = Z_j - Z_{j+1} counts that degree, and
+    hist[0] = Z_cols counts the equal pairs.
     """
     z = prefix_counts(lcp, src, cols)
     hist = np.empty(cols + 1, dtype=np.int64)
@@ -354,16 +341,41 @@ def sign_table(weights: np.ndarray, p: int) -> np.ndarray:
     return _modmat.matmul_mod(1 - 2 * ((words[:, None] >> bits) & 1), weights, p)
 
 
-def half_tables(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """sign_table of the low and the high signs of weights, and the split.
+def sign_pair(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """sign_table of weights as a pair (P, Q), in the narrowest dtype of p - 1.
+
+    Q is the sign_table of the low len(weights) // 2 weights and P of the
+    others, so row u * len(Q) + v of the pair, P[u] + Q[v] mod p, is
+    sign_table row u * len(Q) + v.
+    """
+    low, dtype = len(weights) // 2, np.min_scalar_type(p - 1)
+    return (sign_table(weights[low:], p).astype(dtype),
+            sign_table(weights[:low], p).astype(dtype))
+
+
+def half_tables(weights: np.ndarray, p: int) -> tuple[tuple, tuple, int]:
+    """sign_pair of the low and the high signs of weights, and the split.
 
     With d = len(weights) and b = d // 2, bit n of a low word w is the
-    sign at n < b and bit n of a high word the sign at b + n; A[w] and
-    B[w] hold the sum over their half, so a vector's row is
-    A[low word] + B[high word] mod p.
+    sign at n < b and bit n of a high word the sign at b + n; rows A[w]
+    and B[w] hold the sum over their half, so a vector's row is
+    A[low word] + B[high word] mod p.  A high half of more than JOIN_CAP
+    signs is refused with TooLarge before any table is built.
     """
     half = len(weights) // 2
-    return sign_table(weights[:half], p), sign_table(weights[half:], p), half
+    if len(weights) - half > JOIN_CAP:
+        raise TooLarge(f"a join side of 2^{len(weights) - half} rows exceeds "
+                       f"the join cap 2^{JOIN_CAP}")
+    return sign_pair(weights[:half], p), sign_pair(weights[half:], p), half
+
+
+def negated(pair: tuple, p: int) -> tuple:
+    """The pair whose rows are the pair's rows negated mod p, in its dtype.
+
+    p - x lies in [1, p] for x in [0, p), so an unsigned dtype never wraps
+    round, as -x would (to 256 - x in uint8), and % p takes p back to 0.
+    """
+    return tuple((p - t) % p for t in pair)
 
 
 def shard_range(bits: int, index: int, count: int) -> tuple[int, int]:
@@ -377,49 +389,54 @@ def shard_range(bits: int, index: int, count: int) -> tuple[int, int]:
     return total * index // count, total * (index + 1) // count
 
 
-def degree_hist(c: np.ndarray) -> np.ndarray:
-    """hist[k+1] = number of rows of degree k; hist[0] counts zero rows."""
-    cols = c.shape[1]
-    nz = c != 0
-    deg = np.where(nz.any(axis=1), cols - 1 - nz[:, ::-1].argmax(axis=1), -1)
-    return np.bincount(deg + 1, minlength=cols + 1)
-
-
-def join_hist(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Degree histogram of all sums a[i] + b[j] mod p, as degree_hist.
+def join_hist(a: tuple, b: tuple, p: int) -> np.ndarray:
+    """Degree histogram of all sums a[i] + b[j] mod p, as prefix_hist.
 
     A run of the rows of a and -b sorted together whose top j columns
     agree pairs each a row with each -b row into a sum whose top j
     coefficients vanish, so Z_j = sum over runs of #a * #b, and degree
     cols-1-j occurs Z_j - Z_{j+1} times.
     """
-    src, lcp = join_sort(a, (-b) % p, p)[1:]
-    return prefix_hist(lcp, src, a.shape[1])
+    src, lcp = join_sort(a, negated(b, p), p)[1:]
+    return prefix_hist(lcp, src, a[0].shape[1])
+
+
+def _gray_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The sign words of the Gray indices [lo, hi), as aligned word blocks.
+
+    [lo, hi) is cut into aligned blocks of indices k 2^t .. (k+1) 2^t - 1,
+    each the largest that fits.  For v < 2^t, gray(k 2^t + v) is
+    gray(k) 2^t plus gray(v) with bit t-1 flipped when k is odd, which
+    runs over every u < 2^t, so a block's words are exactly
+    gray(k) 2^t + u.  Returns (gray(k) 2^t, t) for each block.
+    """
+    out = []
+    while lo < hi:
+        t = (hi - lo).bit_length() - 1
+        if lo:
+            t = min(t, (lo & -lo).bit_length() - 1)
+        k = lo >> t
+        out.append(((k ^ (k >> 1)) << t, t))
+        lo += 1 << t
+    return out
 
 
 def range_hist(tables: tuple, p: int, lo: int, hi: int) -> np.ndarray:
     """Degree histogram of A + B over the Gray indices [lo, hi), as join_hist.
 
-    The high bits of gray(i) are gray(i >> b), so the full row h of 2^b
-    indices is every low word paired with the high word gray(h): full
-    rows join against the whole A table.  The partial rows at unaligned
-    ends are summed and read directly.  The histogram must count exactly
-    hi - lo rows, or SqrtPolyError is raised.
+    Each aligned block of 2^t indices (_gray_blocks) is the words
+    start + u, u < 2^t: for t >= b, all of A against 2^(t-b) rows of B,
+    and for t < b, 2^t rows of A against one row of B, so each block is
+    one join_hist of a sub-pair of A and a sub-pair of B.  The histogram
+    must count exactly hi - lo rows, or SqrtPolyError is raised.
     """
     a, b, half = tables
-    width = 1 << half
-    first, last = -(-lo // width), hi // width
-    hist = np.zeros(a.shape[1] + 1, dtype=np.int64)
-    ends = [(lo, hi)]
-    if first < last:
-        rows = np.arange(first, last, dtype=np.int64)
-        hist += join_hist(a, b[rows ^ (rows >> 1)], p)
-        ends = [(lo, first * width), (last * width, hi)]
-    for x, y in ends:
-        if x < y:
-            idx = np.arange(x, y, dtype=np.int64)
-            word = idx ^ (idx >> 1)
-            hist += degree_hist((a[word & (width - 1)] + b[word >> half]) % p)
+    hist = np.zeros(a[0].shape[1] + 1, dtype=np.int64)
+    for start, t in _gray_blocks(lo, hi):
+        low = _sub_pair(a, start & ((1 << half) - 1), 1 << min(t, half))
+        high = _sub_pair(b, start >> half, 1 << max(t - half, 0))
+        hist += join_hist(low, high, p)
     if hist.sum() != hi - lo:
-        raise SqrtPolyError(f"census of [{lo}, {hi}) counted {hist.sum()} vectors")
+        raise SqrtPolyError(f"census counted {hist.sum()} of {hi - lo} vectors "
+                            f"in the Gray indices [{lo}, {hi})")
     return hist

@@ -1,22 +1,17 @@
 """Exhaustive degree censuses over sign vectors.
 
-Every count here is the meet-in-the-middle join of _kernels, by one of
-two routes, named in each histogram's meta["route"].
-
-- The half-table join.  The coefficient vector splits as
-  c = A(low signs) + B(high signs); the top j coefficients of a vector
-  vanish exactly when its A and -B rows agree on those j columns, so one
-  sort of both 2^(r/2)-row tables of r columns and the runs of rows that
-  agree on their top j columns give, for every j, the number Z_j of
-  vectors whose top j coefficients vanish, and degree r-1-j is hit
-  Z_j - Z_{j+1} times.  Shards are ranges of Gray-code indices.
-- The block join, for one shard at p = 1 mod 4.  f splits as (f_0, f_1)
-  on the two level-(s-2) blocks of the Tonelli-Shanks tree, and
-  deg f = m + deg(f_0 - f_1) with m = r/2 (see search), so the census is
-  the degree histogram of the differences of the cross pairs in the
-  search's join: 2 * 2^m members of m columns, packed from pairs of
-  about 2^(m/2) rows.  It is how censuses past r = 41 (p = 89, 97, 101)
-  run.
+Every count here is the meet-in-the-middle join of _kernels.  The
+coefficient vector splits as c = A(low signs) + B(high signs); the top j
+coefficients of a vector vanish exactly when its A and -B rows agree on
+those j columns, so one sort of both 2^(r/2)-row tables of r columns and
+the runs of rows that agree on their top j columns give, for every j,
+the number Z_j of vectors whose top j coefficients vanish, and degree
+r-1-j is hit Z_j - Z_{j+1} times.  A and B are each held as a pair of
+the sign tables of their high and low quarters, of about 2^(r/4) rows,
+and a shard, a range of Gray-code indices, joins sub-pairs of them, one
+join per aligned block of indices.  No side of a join may hold more than
+2^JOIN_CAP rows (r <= 52), and a larger census is refused before any
+table is built.
 
 full_census joins the r coefficients.  family_census joins the d
 coefficients that the alternating-periodic subfamily can reach:
@@ -33,16 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _modmat, fourier, search
+from . import _kernels, _modmat, fourier
 from .errors import InvalidDivisor, SqrtPolyError, TooLarge, ValidationError
 from .field import FieldCtx
 from .signs import SignVector, orbit_stats
 
 DEFAULT_CENSUS_CAP = 30
 CAP_ENV_VAR = "SQRTPOLY_CAP_R"
-# the join a histogram was counted by, in its meta["route"]
-BLOCK_JOIN = "block join"
-HALF_TABLE_JOIN = "half-table join"
 
 
 @dataclass
@@ -55,12 +47,12 @@ class DegreeHistogram:
         return sum(self.counts.values())
 
     def merge(self, other: "DegreeHistogram") -> "DegreeHistogram":
-        """Sum of two histograms of the same p, family and route.
+        """Sum of two histograms of the same p and family.
 
         A meta key that only one side has is kept; the per-shard "shard"
         key is left out of the sum.
         """
-        for key in ("p", "family", "route"):
+        for key in ("p", "family"):
             if key in self.meta and key in other.meta \
                     and self.meta[key] != other.meta[key]:
                 raise ValidationError(f"cannot merge {key} = {self.meta[key]} "
@@ -136,50 +128,25 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
                 max_r: int | None = None) -> DegreeHistogram:
     """Exact degree histogram of f_eps over all eps in E_r.
 
-    One shard at p = 1 mod 4 is counted by the search's block join
-    (_block_hist).  Otherwise shard i of N covers the Gray indices
-    [2^r i // N, 2^r (i+1) // N), as census_shard does, and every shard
-    must count exactly its range.  meta["route"] names the join.  threads
-    is accepted and ignored: the join runs in numpy.
+    Shard i of N covers the Gray indices [2^r i // N, 2^r (i+1) // N), as
+    census_shard does, and every shard must count exactly its range.
+    threads is accepted and ignored: the join runs in numpy.
     """
     _check_cap(ctx, max_r)
     r = ctx.r
     total = 1 << r
     shards = max(1, min(shards, total))
-    if shards == 1 and ctx.p % 4 == 1:
-        hist, route = _block_hist(ctx), BLOCK_JOIN
-    else:
-        tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
-        hist = np.zeros(r + 1, dtype=np.int64)
-        for i in range(shards):
-            lo, hi = _kernels.shard_range(r, i, shards)
-            hist += _kernels.range_hist(tables, ctx.p, lo, hi)
-        route = HALF_TABLE_JOIN
+    tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
+    hist = np.zeros(r + 1, dtype=np.int64)
+    for i in range(shards):
+        lo, hi = _kernels.shard_range(r, i, shards)
+        hist += _kernels.range_hist(tables, ctx.p, lo, hi)
     out = DegreeHistogram(_hist_to_counts(hist),
                           {"p": ctx.p, "s": ctx.s, "q": ctx.q, "family": "all",
-                           "shards": shards, "route": route})
+                           "shards": shards})
     if out.total != total:
         raise SqrtPolyError(f"census counted {out.total} of {total} vectors")
     return out
-
-
-def _block_hist(ctx: FieldCtx) -> np.ndarray:
-    """The census as degree_hist counts it, from the search's block join.
-
-    f = (f_0, f_1) on the two level-(s-2) blocks has degree
-    m + deg(f_0 - f_1), m = r/2, so the histogram of deg(f_0 - f_1) over
-    the cross pairs of the two search families is the census shifted by
-    m.  f_0 = f_1 would give f a degree below m < (p-1)/3, which no sign
-    vector gives, so a join that pairs equal halves is refused.
-    """
-    m = ctx.r // 2
-    src, lcp = _kernels.join_sort(*search._search_pairs(ctx), ctx.p)[1:]
-    hist = np.zeros(ctx.r + 1, dtype=np.int64)
-    hist[m:] = _kernels.prefix_hist(lcp, src, m)
-    if hist[m]:
-        raise SqrtPolyError(f"block join paired {hist[m]} equal halves, "
-                            f"which no sign vector gives")
-    return hist
 
 
 def census_shard(ctx: FieldCtx, index: int, count: int,
@@ -192,7 +159,7 @@ def census_shard(ctx: FieldCtx, index: int, count: int,
     return DegreeHistogram(_hist_to_counts(hist),
                            {"p": ctx.p, "s": ctx.s, "q": ctx.q,
                             "family": "all", "shard": [index, count],
-                            "shards": count, "route": HALF_TABLE_JOIN})
+                            "shards": count})
 
 
 def _hist_to_counts(hist: np.ndarray) -> dict[int, int]:
@@ -244,8 +211,7 @@ def family_census(ctx: FieldCtx, d: int,
                             "which no family member gives")
     counts = {degs[j]: int(n) for j, n in enumerate(hist[1:]) if n}
     return DegreeHistogram(counts, {"p": ctx.p, "s": ctx.s, "q": ctx.q,
-                                    "family": f"alt-{d}", "shards": 1,
-                                    "route": HALF_TABLE_JOIN})
+                                    "family": f"alt-{d}", "shards": 1})
 
 
 def coefficient_vanish_census(ctx: FieldCtx, k: int) -> int:
@@ -264,7 +230,7 @@ def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
     w = _modmat.power_block(ctx, np.arange(r, dtype=np.int64),
                             np.asarray(ells, dtype=np.int64) % (p - 1))
     a, b, half = _kernels.half_tables(w, p)
-    order, src, lcp = _kernels.join_sort(a, (-b) % p, p)
+    order, src, lcp = _kernels.join_sort(a, _kernels.negated(b, p), p)
     runs = _kernels.scan_runs(lcp, src, len(ells))
     lows, highs = _kernels.run_pairs(order, src, runs)
     return lows | highs << half

@@ -31,7 +31,6 @@ from .field import FieldCtx
 from .poly import Poly, is_sqrt_poly, monomial
 from .ts import shift_scales
 
-SEARCH_CAP = 26  # max (p-1)/4
 DEFAULT_PAIR_CAP = 10 ** 6
 # minimal_search's stages, timed in SearchReport.stats["stage_seconds"]
 _STAGES = ("half_tables", "keys", "sort", "run_scan", "glue")
@@ -66,10 +65,6 @@ class SearchReport:
         }
 
 
-def _storage_dtype(p: int):
-    return np.uint8 if p < 256 else np.uint32
-
-
 def _scaled(ctx: FieldCtx, pair: tuple, i: int) -> tuple:
     """The pair of the family shifted to block i, f |-> gamma^i f(gamma^(-2i) x).
 
@@ -89,14 +84,14 @@ def _family_pair(ctx: FieldCtx, k: int) -> tuple:
     of the 2^q polynomials on S_0 = mu_q (member w is sign word w).  Above
     it, the gluing of a child member a with a partner member b is linear,
     the sum of the gluings of a with 0 and of 0 with b: P glues the child
-    level with 0 and Q glues 0 with its partner.
+    level with 0 and Q glues 0 with its partner.  Both are stored in the
+    narrowest dtype of p - 1.
     """
-    p, dtype = ctx.p, _storage_dtype(ctx.p)
+    p, dtype = ctx.p, np.min_scalar_type(ctx.p - 1)
     if k == 0:
-        if ctx.q > SEARCH_CAP:
-            raise TooLarge(f"q = {ctx.q} exceeds search cap {SEARCH_CAP}")
-        low, high, _ = _kernels.half_tables(fourier.subgroup_weights(ctx, ctx.q), p)
-        return high.astype(dtype), low.astype(dtype)
+        if ctx.q > _kernels.JOIN_CAP:
+            raise TooLarge(f"q = {ctx.q} exceeds the join cap {_kernels.JOIN_CAP}")
+        return _kernels.sign_pair(fourier.subgroup_weights(ctx, ctx.q), p)
     child = _level_members(ctx, k - 1)
     partner, = _scaled(ctx, (child,), 1 << (ctx.s - 1 - k))
     zero = np.zeros_like(child)
@@ -120,8 +115,8 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     if ctx.s < 2 or not (0 <= k <= ctx.s - 2):
         raise LevelOutOfRange(f"level {k} not in [0, {ctx.s - 2}]")
     m = (1 << k) * ctx.q
-    if m > SEARCH_CAP:
-        raise TooLarge(f"M_k = {m} exceeds search cap {SEARCH_CAP}")
+    if m > _kernels.JOIN_CAP:
+        raise TooLarge(f"M_k = {m} exceeds the join cap {_kernels.JOIN_CAP}")
     return LevelFamily(level=k, block=i, modulus=m,
                        members=_level_members(ctx, k, i))
 
@@ -129,11 +124,12 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
 def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
     """The pairs of the two top families: F_0^(s-2) and its shift to block 1.
 
-    Each family has 2^m members, m = (p-1)/4, and m is capped at SEARCH_CAP.
+    Each family has 2^m members, m = (p-1)/4, and m is capped at
+    _kernels.JOIN_CAP.
     """
     m = (ctx.p - 1) // 4
-    if m > SEARCH_CAP:
-        raise TooLarge(f"(p-1)/4 = {m} exceeds search cap {SEARCH_CAP}")
+    if m > _kernels.JOIN_CAP:
+        raise TooLarge(f"(p-1)/4 = {m} exceeds the join cap {_kernels.JOIN_CAP}")
     fam_a = _family_pair(ctx, ctx.s - 2)
     return fam_a, _scaled(ctx, fam_a, 1)
 

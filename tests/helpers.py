@@ -95,6 +95,17 @@ def naive_glue_crt(ctx, parts):
     return out
 
 
+def as_pair(rows, p):
+    """rows as the pair (rows, one zero row) that _kernels joins.
+
+    Row u of the pair is rows[u] + 0, in the narrowest dtype of p - 1.
+    """
+    import numpy as np
+
+    rows = np.asarray(rows).astype(np.min_scalar_type(p - 1))
+    return rows, np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+
+
 def oracle_level_members(ctx, k):
     """F_0^k built in full: the dense sign table of mu_q, then glue upward.
 

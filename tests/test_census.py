@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from .fixtures import ALL_COUNTS, TS_COUNTS
 from .helpers import (dense_family_census, dense_vanishing_words,
                       gray_walk_census, scan_runs_prefix_counts)
 
-# p = 1 mod 4 at s = 2, 3, 4 and 5; census_shard at p = 73 takes about 1 s
+# p = 1 mod 4 at s = 2, 3, 4 and 5
 P_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73)
 
 
@@ -62,7 +64,7 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
     real = census._kernels.join_sort
 
     def spy(a, b, p):
-        joined.append((len(a), len(b)))
+        joined.append((_kernels._height(a), _kernels._height(b)))
         return real(a, b, p)
 
     monkeypatch.setattr(census._kernels, "join_sort", spy)
@@ -73,8 +75,8 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
 
 
 def test_census_range_exactness_check(monkeypatch, ctx13):
-    # a half-table join that loses a pair must be refused, not reported:
-    # through a shard, and through full_census at a p = 3 mod 4
+    # a join that loses a pair must be refused, not reported: through a
+    # shard, and through full_census
     real = census._kernels.join_hist
 
     def lossy(a, b, p):
@@ -95,11 +97,10 @@ def test_census_range_exactness_check(monkeypatch, ctx13):
 
 @pytest.mark.parametrize("level, change, match", [
     (0, -1, "counted 63 of 64"),  # a pair lost from Z_0
-    (3, 1, "paired 1 equal halves"),  # Z_m, the equal halves
     (1, 100, "counted -36 vectors of degree 5"),  # Z_1 above Z_0
 ])
 def test_block_census_exactness_check(monkeypatch, ctx13, level, change, match):
-    # a block join whose Z_j are off must be refused, not reported
+    # a join whose Z_j are off must be refused, not reported
     real = census._kernels.prefix_counts
 
     def lossy(lcp, src, levels):
@@ -114,39 +115,103 @@ def test_block_census_exactness_check(monkeypatch, ctx13, level, change, match):
 
 @pytest.mark.parametrize("p", P_1_MOD_4)
 def test_block_census_matches_half_table_join(p):
-    # the routes join different tables, the search's block families and
-    # the half tables of the coefficient weights, and share only
-    # join_sort and prefix_counts, which the oracles below check
+    # the census's half-table join against an independent route: the
+    # search's block join, on the minimum degree and its count, and at
+    # p = 5, whose minimum (degree 1) lies below the (p-1)/3 bound that
+    # the search checks, brute force on every degree
     ctx = make_field_ctx(p)
-    block = full_census(ctx, max_r=ctx.r)
-    half = census.census_shard(ctx, 0, 1, max_r=ctx.r)
-    assert block.meta["route"] == census.BLOCK_JOIN
-    assert half.meta["route"] == census.HALF_TABLE_JOIN
-    assert block.counts == half.counts
-    assert block.total == 1 << ctx.r
-    assert block.min_degree() >= ctx.r // 2
+    hist = full_census(ctx, max_r=ctx.r)
+    assert hist.total == 1 << ctx.r
+    if p == 5:
+        assert hist.counts == brute_degree_counts(ctx)
+        return
+    report = search.minimal_search(ctx)
+    assert hist.min_degree() == report.min_degree
+    assert hist.counts[report.min_degree] == report.minimizer_count
 
 
-def test_census_route_choice(monkeypatch):
-    # the block join for one shard at p = 1 mod 4, the half tables for
-    # shards and p = 3 mod 4, and the cap before either
-    assert full_census(make_field_ctx(29), shards=3).meta["route"] == \
-        census.HALF_TABLE_JOIN
-    assert full_census(make_field_ctx(23)).meta["route"] == census.HALF_TABLE_JOIN
-    # m = 27 and 28: past the search's cap, refused before any table
-    for p in (109, 113):
-        with pytest.raises(TooLarge, match="search cap"):
-            full_census(make_field_ctx(p), max_r=p)
+@pytest.mark.parametrize("p", (43, 47, 59))
+def test_census_minimum_at_p_3_mod_4_is_the_monomial_pair(p):
+    # x^((p+1)/4) and its negation, and no other vector, reach the minimum
+    ctx = make_field_ctx(p)
+    hist = full_census(ctx, max_r=ctx.r)
+    assert hist.min_degree() == (p + 1) // 4
+    assert hist.counts[(p + 1) // 4] == 2
 
-    def refuse(ctx):
-        raise AssertionError("the block join ran")
 
-    monkeypatch.setattr(census.search, "_search_pairs", refuse)
+@pytest.mark.parametrize("p", (107, 109, 113))
+def test_census_refuses_oversized_joins_before_any_table(monkeypatch, p):
+    # r = 53, 54, 56: a join side of 2^27 or 2^28 rows, refused by the cap
+    # the search shares, before any sign table is built
+    def refuse(weights, p):
+        raise AssertionError("a sign table was built")
+
+    monkeypatch.setattr(_kernels, "sign_table", refuse)
+    ctx = make_field_ctx(p)
     with pytest.raises(TooLarge, match="cap"):
-        full_census(make_field_ctx(61), max_r=26)
-    assert full_census(make_field_ctx(29), shards=2).counts == ALL_COUNTS[29]
-    with pytest.raises(AssertionError, match="block join"):
-        full_census(make_field_ctx(29))
+        full_census(ctx, max_r=p)
+    with pytest.raises(TooLarge, match="cap"):
+        census.census_shard(ctx, 0, 4, max_r=p)
+    if p % 4 == 1:
+        with pytest.raises(TooLarge, match="cap"):
+            search.minimal_search(ctx)
+
+
+def test_census_memory_is_the_keys():
+    # p = 73, r = 36: 2^18 + 2^18 rows are joined from quarter tables of
+    # 2^9 rows, and the peak stays within a few times their uint64 keys
+    ctx = make_field_ctx(73)
+    key_bytes = 8 * (1 << 19)
+    full_census(ctx, max_r=36)  # warm the lazy tables of ctx
+    tracemalloc.start()
+    try:
+        full_census(ctx, max_r=36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * key_bytes, peak / key_bytes
+
+
+@pytest.mark.parametrize("bits", range(17))
+def test_gray_blocks_tile_the_range(bits):
+    rng = np.random.default_rng(bits)
+    total = 1 << bits
+    ranges = [(0, 0), (0, total), (total - 1, total), (0, 1),
+              (total // 3, total // 3)]
+    ranges += [tuple(sorted(rng.integers(0, total + 1, size=2).tolist()))
+               for _ in range(20)]
+    for lo, hi in ranges:
+        words = []
+        for start, t in _kernels._gray_blocks(lo, hi):
+            assert start % (1 << t) == 0
+            words += range(start, start + (1 << t))
+        idx = np.arange(lo, hi)
+        assert sorted(words) == sorted((idx ^ (idx >> 1)).tolist()), (lo, hi)
+
+
+@pytest.mark.parametrize("p", (13, 251, 257, (1 << 61) - 1))
+def test_sign_pair_rows_are_the_sign_table(p):
+    # row w of the pair is row w of the sign table, for 0 to 7 weights,
+    # stored in the narrowest dtype of p - 1
+    rng = np.random.default_rng(p % 1000)
+    for d in range(8):
+        weights = rng.integers(0, p, size=(d, 3), dtype=np.int64)
+        pair = _kernels.sign_pair(weights, p)
+        assert pair[0].dtype == np.min_scalar_type(p - 1)
+        rows = _kernels.pair_rows(pair, np.arange(1 << d), p)
+        assert rows.astype(np.int64).tolist() == \
+            _kernels.sign_table(weights, p).tolist(), d
+
+
+def test_negated_stays_in_the_field():
+    # at p = 251 the tables are uint8, where -x would wrap round to 256 - x
+    p = 251
+    x = np.arange(p, dtype=np.uint8)
+    neg, zero = _kernels.negated((x[:, None], x[:1, None]), p)
+    assert neg.dtype == np.uint8
+    assert neg[:, 0].tolist() == [(p - v) % p for v in range(p)]
+    assert neg[0, 0] == 0 and zero.tolist() == [[0]]
+    assert ((neg.astype(np.int64) + x[:, None]) % p == 0).all()
 
 
 def _random_join(rng, n, levels, b_share):
@@ -190,7 +255,7 @@ def test_prefix_counts_matches_scan_runs_on_real_joins(p):
     assert np.array_equal(_kernels.prefix_counts(lcp, src, m),
                           scan_runs_prefix_counts(lcp, src, m))
     a, b, _ = _kernels.half_tables(census._coeff_weights(ctx), p)
-    _, src, lcp = _kernels.join_sort(a, (-b) % p, p)
+    _, src, lcp = _kernels.join_sort(a, _kernels.negated(b, p), p)
     assert np.array_equal(_kernels.prefix_counts(lcp, src, ctx.r),
                           scan_runs_prefix_counts(lcp, src, ctx.r))
 
@@ -310,7 +375,7 @@ def test_orbit_divisibility_joins_half_tables(monkeypatch):
     real = census._kernels.join_sort
 
     def spy(a, b, p):
-        joined.append((len(a), len(b)))
+        joined.append((_kernels._height(a), _kernels._height(b)))
         return real(a, b, p)
 
     monkeypatch.setattr(census._kernels, "join_sort", spy)
@@ -369,16 +434,6 @@ def test_histogram_merge_and_csv():
     rows = m.to_csv_rows()
     assert rows[0] == [13, 2, 3, 3, "1", "all", 1]
     assert len(rows[0]) == len(census.CSV_HEADER)
-
-
-def test_histogram_merge_refuses_mixed_routes(ctx13):
-    block = full_census(ctx13)
-    half = census.census_shard(ctx13, 0, 1)
-    with pytest.raises(ValidationError, match="route = block join"):
-        block.merge(half)
-    with pytest.raises(ValidationError, match="route = half-table join"):
-        half.merge(block)
-    assert half.merge(census.census_shard(ctx13, 0, 1)).total == 2 << ctx13.r
 
 
 def test_histogram_merge_refuses_mixed_p_or_family():

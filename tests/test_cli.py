@@ -113,26 +113,13 @@ def test_merge_refuses_mixed_primes(capsys, tmp_path):
     assert "p = 29" in capsys.readouterr().err
 
 
-def test_merge_refuses_mixed_routes(capsys, tmp_path):
-    # one shard at p = 29 runs on the block join, a --shard on the half tables
-    paths = []
-    for extra in ([], ["--shard", "0/1"]):
-        obj = run_json(capsys, ["census", "--p", "29", *extra])
-        path = tmp_path / f"c{len(paths)}.json"
-        path.write_text(json.dumps(obj))
-        paths.append(str(path))
-    assert cli.main(["merge", *paths]) == 2
-    assert "route = block join" in capsys.readouterr().err
-
-
-def test_census_past_the_default_cap_on_the_block_join(capsys):
-    # p = 73, r = 36: the half-table join took 1 s and 400 MB here
+def test_census_past_the_default_cap(capsys):
+    # p = 73, r = 36: one join of 2^18 + 2^18 rows from quarter tables
     obj = run_json(capsys, ["census", "--p", "73", "--max-r", "36"])
     head = {31: 2088, 32: 172480, 33: 12716784, 34: 928438416,
             35: 67778146968}
     assert {int(d): int(n) for d, n in list(obj["counts"].items())[:5]} == head
     assert obj["total"] == str(1 << 36)
-    assert obj["meta"]["route"] == "block join"
 
 
 def test_family_census(capsys):

@@ -14,7 +14,7 @@ from sqrtpoly.search import (build_level, build_level_zero, decompose_tree,
 
 from .fixtures import (P41_MINIMAL, P41_MINIMAL_HALF_0, P41_MINIMAL_HALF_1,
                        P41_MINIMAL_LEAVES)
-from .helpers import (naive_minimal_search, oracle_families,
+from .helpers import (as_pair, naive_minimal_search, oracle_families,
                       oracle_level_members, shift_members)
 
 
@@ -128,7 +128,7 @@ def test_minimal_search_pair_cap(ctx41):
 def _check_join_sort(a, b, p):
     # the order of a stable column lexsort, top column first, and the
     # common-prefix lengths read off the sorted rows
-    order, src, lcp = _kernels.join_sort(a, b, p)
+    order, src, lcp = _kernels.join_sort(as_pair(a, p), as_pair(b, p), p)
     both = np.vstack([a, b])
     want = np.lexsort(tuple(both[:, j] for j in range(both.shape[1])))
     assert np.array_equal(order, want)
@@ -144,7 +144,8 @@ def test_packed_key_order_matches_column_lexsort():
     _check_join_sort(*oracle_families(ctx), ctx.p)
     # the pairs sort as the rows they stand for
     order, src, lcp = _kernels.join_sort(*search._search_pairs(ctx), ctx.p)
-    want = _kernels.join_sort(*oracle_families(ctx), ctx.p)
+    want = _kernels.join_sort(*(as_pair(f, ctx.p) for f in oracle_families(ctx)),
+                              ctx.p)
     for x, y in zip((order, src, lcp), want):
         assert np.array_equal(x, y)
 
@@ -158,7 +159,8 @@ def test_pair_keys_match_oracle_families(p):
     # the families built in full, glued and shifted row by row
     ctx = make_field_ctx(p)
     key, c, ibits = _kernels._packed_key(*search._search_pairs(ctx), p)
-    want, want_c, want_ibits = _kernels._packed_key(*oracle_families(ctx), p)
+    want, want_c, want_ibits = _kernels._packed_key(
+        *(as_pair(f, p) for f in oracle_families(ctx)), p)
     assert (c, ibits) == (want_c, want_ibits)
     assert np.array_equal(key, want)
 
@@ -213,7 +215,7 @@ def test_packed_key_order_breaks_ties(p, m):
     # few distinct values: the top key ties often, so the later keys and
     # the original order of equal rows decide (one key for (13, 16))
     rng = np.random.default_rng(p + m)
-    dtype = search._storage_dtype(p)
+    dtype = np.min_scalar_type(p - 1)
     a = rng.integers(0, 2, size=(300, m)).astype(dtype)
     b = rng.integers(0, 2, size=(200, m)).astype(dtype)
     a[:, :2] = rng.integers(0, p, size=(300, 2))
@@ -251,7 +253,7 @@ def test_join_sort_across_block_edges(monkeypatch, block_rows):
     a[:, :2] = rng.integers(0, 89, size=(150, 2))
     b[:40] = a[:40]
     _check_join_sort(a, b, 89)
-    _, src, lcp = _kernels.join_sort(a, b, 89)
+    _, src, lcp = _kernels.join_sort(as_pair(a, 89), as_pair(b, 89), 89)
     for j in (0, 5, 22):
         _, na, nb = _check_scan_runs(lcp, src, j)
         want = sum(np.array_equal(x[22 - j:], y[22 - j:]) for x in a for y in b)
@@ -269,7 +271,7 @@ def test_join_sort_with_no_column_beside_the_index():
     b[:60, 1:] = a[:60, 1:]  # on the top two across the tables
     a[200:220] = a[:20]  # and equal rows
     stats = {}
-    _kernels.join_sort(a, b, p, stats)
+    _kernels.join_sort(as_pair(a, p), as_pair(b, p), p, stats)
     assert stats["key_columns"] == 0 and stats["tied_rows"] == 500
     _check_join_sort(a, b, p)
 
@@ -286,7 +288,7 @@ def test_tied_rows_decide_the_longest_cross_prefix():
     b[5:8, -12:] = a[10, -12:]  # one a row against four b rows
     b[8:12, -9:] = a[40:44, -9:]
     stats = {}
-    order, src, lcp = _kernels.join_sort(a, b, p, stats)
+    order, src, lcp = _kernels.join_sort(as_pair(a, p), as_pair(b, p), p, stats)
     assert stats["key_columns"] == 7 and stats["tied_rows"] > 0
     _check_join_sort(a, b, p)
     cross = src[:-1] != src[1:]
@@ -304,7 +306,7 @@ def test_scan_runs_counts_pairs():
     rng = np.random.default_rng(7)
     a = rng.integers(0, 3, size=(60, 5)).astype(np.int64)
     b = rng.integers(0, 3, size=(40, 5)).astype(np.int64)
-    _, src, lcp = _kernels.join_sort(a, b, 3)
+    _, src, lcp = _kernels.join_sort(as_pair(a, 3), as_pair(b, 3), 3)
     for j in range(6):
         _, na, nb = _check_scan_runs(lcp, src, j)
         want = sum(np.array_equal(x[5 - j:], y[5 - j:]) for x in a for y in b)
