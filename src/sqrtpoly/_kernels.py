@@ -10,12 +10,13 @@ common-prefix length of each adjacent pair of sorted rows.  It packs one
 uint64 key per row, the row's top columns above its index, from
 broadcast sums of P and Q, and sorts the keys by value: the sorted keys
 give the order and the prefix lengths, and only the rows that tie on
-all the key's columns are built and sorted on the rest.  scan_runs cuts
-the sorted rows into runs that agree on their top j columns and counts
-each run's rows from A and from B; a run of na rows of A and nb rows of
-B holds na * nb agreeing pairs.  prefix_counts sums them at every j,
-Z_j, from one cumsum of the rows' tables, and prefix_hist turns the Z_j
-into the degree histogram of the pairs' differences.
+all the key's columns are built, a few columns at a time, and sorted on
+the rest.  scan_runs cuts the sorted rows into runs that agree on their
+top j columns and counts each run's rows from A and from B; a run of na
+rows of A and nb rows of B holds na * nb agreeing pairs.  prefix_counts
+sums them at every j, Z_j, from one cumsum of the rows' tables, and
+prefix_hist turns the Z_j into the degree histogram of the pairs'
+differences.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
@@ -41,6 +42,7 @@ from .errors import RangeOutOfBounds, SqrtPolyError, TooLarge
 
 _BLOCK_ROWS = 1 << 16  # rows of a table packed at a time: 512 KB of keys
 JOIN_CAP = 26  # a side of a join holds at most 2^JOIN_CAP rows
+_TIE_COLUMNS = 4  # columns the tie pass sorts on at a time
 
 
 def _height(pair) -> int:
@@ -65,13 +67,6 @@ def pair_rows(pair: tuple, rows: np.ndarray, p: int) -> np.ndarray:
     return _sum_mod(hi[u], lo[v], p).astype(hi.dtype, copy=False)
 
 
-def _blocks(pair) -> list:
-    """The pair cut into sub-pairs of about _BLOCK_ROWS rows, in row order."""
-    hi, lo = pair
-    step = max(1, _BLOCK_ROWS // len(lo))
-    return [(hi[u:u + step], lo) for u in range(0, len(hi), step)]
-
-
 def _sub_pair(pair, start: int, size: int) -> tuple:
     """Rows start..start + size - 1 of a pair, as a pair of views.
 
@@ -93,22 +88,27 @@ def _packed_key(a, b, p: int) -> tuple[np.ndarray, int, int]:
     its key holds t in its low ibits bits and, above them, as many top
     columns as fit, c of them, `bits` bits each and a higher column in
     higher bits.  Returns (key, c, ibits).  The pairs' rows are never
-    built.  The key is packed a block of rows at a time, so the block
-    stays in cache while its columns are shifted in.
+    built, and their top c columns are copied out as rows, so each is
+    read contiguously.  The key is packed a block of about _BLOCK_ROWS
+    rows at a time, so the block stays in cache while its columns are
+    shifted in.
     """
     bits, cols = (p - 1).bit_length(), a[0].shape[1]
     ibits = (_height(a) + _height(b) - 1).bit_length()
     c = min(cols, (64 - ibits) // bits)
     key = np.zeros(_height(a) + _height(b), dtype=np.uint64)
     at = 0
-    for hi, lo in _blocks(a) + _blocks(b):
-        part = key[at:at + len(hi) * len(lo)]
-        for j in range(cols - 1, cols - 1 - c, -1):
-            part <<= np.uint64(bits)
-            part |= _sum_mod(hi[:, j, None], lo[None, :, j], p).ravel()
-        part <<= np.uint64(ibits)
-        part |= np.arange(at, at + len(part), dtype=np.uint64)
-        at += len(part)
+    for pair in (a, b):
+        hi, lo = (np.ascontiguousarray(t[:, cols - c:].T) for t in pair)
+        step = max(1, _BLOCK_ROWS // len(pair[1]))
+        for u in range(0, len(pair[0]), step):
+            part = key[at:at + len(pair[0][u:u + step]) * len(pair[1])]
+            for j in range(c - 1, -1, -1):
+                part <<= np.uint64(bits)
+                part |= _sum_mod(hi[j, u:u + step, None], lo[j, None, :], p).ravel()
+            part <<= np.uint64(ibits)
+            part |= np.arange(at, at + len(part), dtype=np.uint64)
+            at += len(part)
     return key, c, ibits
 
 
@@ -144,30 +144,36 @@ def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
 
     order is sorted by key columns and then index, and lcp counts shared
     key columns; tied lists the links whose rows share all of them.  The
-    low `rest` columns of those runs' rows are built, each run is sorted
-    again on them, top first, and then its index, and the tied links'
-    lcp are extended over them.  Returns the columns read.
+    runs are sorted _TIE_COLUMNS columns at a time, top first: the next
+    columns of their rows are built, each run is sorted again on them
+    and then its index, the tied links' lcp are extended over them, and
+    only the links that tie on all of them go on to the columns below.
+    Returns the columns the first pass read.
     """
-    if not len(tied):
-        return np.zeros((0, rest), dtype=np.uint8)
-    na = _height(a)
-    a, b = (tuple(t[:, :rest] for t in pair) for pair in (a, b))
-    starts, ends = _chains(tied)
-    at = _spans(starts, ends - starts)
-    run = np.repeat(np.arange(len(starts)), ends - starts)  # each row's tied run
-    sub = order[at]
-    in_a = sub < na
-    rows = np.empty((len(sub), rest), dtype=np.result_type(a[0], b[0]))
-    rows[in_a] = pair_rows(a, sub[in_a], p)
-    rows[~in_a] = pair_rows(b, sub[~in_a] - na, p)
-    # a run's rows come in index order, and lexsort is stable
-    perm = np.lexsort([*rows.T, run])
-    order[at] = sub[perm]
-    # sorted rows t and t + 1 of a tied link are rows i and i + 1 read
-    i = np.searchsorted(at, tied)
-    eq = (rows[perm[i]] == rows[perm[i + 1]])[:, ::-1]
-    lcp[tied] += np.logical_and.accumulate(eq, axis=1).sum(axis=1, dtype=np.uint8)
-    return rows
+    na, first = _height(a), np.zeros((0, 0), dtype=np.uint8)
+    while len(tied) and rest:
+        cols = slice(max(rest - _TIE_COLUMNS, 0), rest)
+        starts, ends = _chains(tied)
+        at = _spans(starts, ends - starts)
+        run = np.repeat(np.arange(len(starts)), ends - starts)  # each row's tied run
+        sub = order[at]
+        in_a = sub < na
+        rows = np.empty((len(sub), cols.stop - cols.start), np.result_type(*a, *b))
+        rows[in_a] = pair_rows(tuple(t[:, cols] for t in a), sub[in_a], p)
+        rows[~in_a] = pair_rows(tuple(t[:, cols] for t in b), sub[~in_a] - na, p)
+        # a run's rows come in index order, and lexsort is stable; the run
+        # goes in as 16-bit digits, which lexsort sorts by radix, not merging
+        digits = range(0, int(run[-1]).bit_length() or 1, 16)
+        perm = np.lexsort([*rows.T, *((run >> d).astype(np.uint16) for d in digits)])
+        order[at] = sub[perm]
+        # sorted rows t and t + 1 of a tied link are rows i and i + 1 read
+        i = np.searchsorted(at, tied)
+        eq = (rows[perm[i]] == rows[perm[i + 1]])[:, ::-1]
+        same = np.logical_and.accumulate(eq, axis=1).sum(axis=1, dtype=np.uint8)
+        lcp[tied] += same
+        tied, rest = tied[same == rows.shape[1]], cols.start
+        first = rows if not first.size else first
+    return first
 
 
 def join_sort(a, b, p: int, stats: dict | None = None):
@@ -184,9 +190,9 @@ def join_sort(a, b, p: int, stats: dict | None = None):
     stacked index (c of them, maybe none), so sorting the keys by value
     sorts the rows on those columns and then by index, and the index is
     read back from the sorted keys.  Only rows whose c top columns tie
-    with a neighbour's are built, for their other columns, and each such
-    run is sorted again on those columns and its index.  When stats is a
-    dict, join_sort puts in it the time the key was packed
+    with a neighbour's are built, a few of their other columns at a time,
+    and each such run is sorted again on them and its index.  When stats
+    is a dict, join_sort puts in it the time the key was packed
     (`packed_at`, by time.perf_counter), c (`key_columns`), the rows
     read for ties (`tied_rows`) and the bytes of the arrays it built
     (`memory_bytes`; order is the key itself).

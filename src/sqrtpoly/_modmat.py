@@ -13,10 +13,9 @@ A prime length, or rows for which a split is estimated to cost more
 once), is a leaf: power_sums, the table route, sums sum_n rows[i, n] *
 gamma^(n * exps[k]) from a table (power_block) built only for the
 columns some row uses, a block of exps at a time.
-Products go through matmul_mod: float64 BLAS over chunks of the inner
-dimension short enough that every partial sum stays below 2^53, where
-doubles are exact, and Python integers only where one column's product
-can reach 2^53.  A large prime factor of L (Bluestein's case) stays a dense
+Products go through matmul_mod: float64 BLAS when every partial sum
+stays below 2^53, where doubles are exact, and Python integers
+otherwise.  A large prime factor of L (Bluestein's case) stays a dense
 leaf.
 """
 
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import OrderDoesNotDivide
 from .field import prime_factors
 
-_EXACT = 1 << 53
+_EXACT = float(1 << 53)
 _BLOCK_ENTRIES = 1 << 21  # power-table entries built at a time
 # Costs that choose between a leaf and a split of ntt, in float64 BLAS
 # multiply-adds (measured with numpy 2.4 and OpenBLAS on x86-64): one
@@ -42,26 +41,18 @@ _NARROW = 8  # at most this many columns: test a tall array column by column
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p, exact, for int64 matrices and p < 2^63.
 
-    float64 BLAS over chunks of at most (2^53 - 1) // (amax * bmax)
-    columns of the inner dimension, so amax * bmax * chunk < 2^53 bounds
-    every partial sum, with the sum reduced mod p after each chunk (two
-    residues below p < 2^63 add up below 2^64 in uint64).  Python
-    integers, which cannot wrap, only when one column can reach 2^53.
+    float64 BLAS when amax * bmax * inner < 2^53 bounds every partial
+    sum; else Python integers, which cannot wrap.
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     inner = a.shape[-1]
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    step = (_EXACT - 1) // bound if bound else max(inner, 1)
-    if not step:
-        return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
-    fa, fb = a.astype(np.float64), b.astype(np.float64)
-    out = (fa[..., :step] @ fb[:step]).astype(np.int64) % p
-    for lo in range(step, inner, step):
-        part = (fa[..., lo:lo + step] @ fb[lo:lo + step]).astype(np.int64) % p
-        out = (out.view(np.uint64) + part.view(np.uint64)) % np.uint64(p)
-        out = out.view(np.int64)
-    return out
+    amax = int(np.abs(a).max(initial=0))
+    bmax = int(np.abs(b).max(initial=0))
+    if amax * bmax * inner < _EXACT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64) % p
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 def _used_columns(rows: np.ndarray) -> np.ndarray:

@@ -33,6 +33,10 @@ ALL_COUNTS = {
     37: {14: 4, 15: 180, 16: 6984, 17: 254976},
     41: {17: 640, 18: 24936, 19: 1023000},
     53: {20: 4, 22: 416, 23: 23660, 24: 1242124, 25: 65842660},
+    # counted by the search's block join, and at p = 61 also by a join of
+    # built half tables
+    61: {23: 4, 25: 120, 26: 5100, 27: 283500, 28: 17292540, 29: 1056160560},
+    73: {31: 2088, 32: 172480, 33: 12716784, 34: 928438416, 35: 67778146968},
 }
 
 # Rounded expected counts under the independent-coefficient model.

@@ -130,6 +130,15 @@ def test_block_census_matches_half_table_join(p):
     assert hist.counts[report.min_degree] == report.minimizer_count
 
 
+@pytest.mark.parametrize("p", (61, 73))
+def test_full_census_matches_frozen_histograms(p):
+    # every degree's count, against histograms counted by other routes
+    ctx = make_field_ctx(p)
+    hist = full_census(ctx, max_r=ctx.r)
+    assert hist.counts == ALL_COUNTS[p]
+    assert hist.total == 1 << ctx.r
+
+
 @pytest.mark.parametrize("p", (43, 47, 59))
 def test_census_minimum_at_p_3_mod_4_is_the_monomial_pair(p):
     # x^((p+1)/4) and its negation, and no other vector, reach the minimum

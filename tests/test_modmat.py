@@ -22,31 +22,6 @@ def test_matmul_mod_exact_past_int64():
     assert matmul_mod(a, b, 1009).tolist() == want
 
 
-def test_matmul_mod_chunks_the_inner_dimension():
-    # entries up to 2^26 on both sides: one column per float64 chunk, and
-    # at p = 2^63 - 25 a negative chunk's residue is near 2^63, so the
-    # chunk sums must not wrap; every product against Python integers
-    rng = np.random.default_rng(63)
-    for p, high in (((1 << 63) - 25, 1 << 26), ((1 << 31) - 1, 1 << 20),
-                    (786433, 786433)):
-        a = rng.integers(-high, high, (6, 9))
-        b = rng.integers(-high, high, (9, 4))
-        want = (a.astype(object) @ b.astype(object)) % p
-        assert matmul_mod(a, b, p).tolist() == want.tolist(), p
-
-
-def test_power_sums_of_a_long_row_on_float64_chunks():
-    # one row of residues in (-p, p) at p = 786433 over r = 393216 columns:
-    # amax * bmax * r passes 2^53, so the row is summed in chunks
-    ctx = make_field_ctx(786433)
-    p, r = ctx.p, ctx.r
-    row = np.random.default_rng(786433).integers(-p + 1, p, r)
-    exps = np.array([1, 3, 5, 786431])
-    table = _modmat.power_block(ctx, np.arange(r, dtype=np.int64), exps)
-    want = (row.astype(object) @ table.astype(object)) % p
-    assert power_sums(ctx, row, exps).tolist() == [want.tolist()]
-
-
 def _naive_power_sums(ctx, rows, exps):
     p, g = ctx.p, ctx.gamma
     return [[sum(int(c) * pow(g, n * int(e), p) for n, c in enumerate(row)) % p

@@ -276,6 +276,25 @@ def test_join_sort_with_no_column_beside_the_index():
     _check_join_sort(a, b, p)
 
 
+def test_tie_pass_over_more_runs_than_one_16_bit_digit():
+    # p = 3, 2^18 + 1000 rows: the 22 key columns of rows 2i and 2i + 1
+    # agree (i in base 3 on top), and 4 random columns below decide them,
+    # so the tie pass sorts 2^17 runs and takes the run as two digits
+    p, n = 3, 1 << 17
+    rng = np.random.default_rng(3)
+    i = np.repeat(np.arange(n), 2)
+    a = np.zeros((2 * n, 26), dtype=np.uint8)
+    for d in range(11):
+        a[:, 25 - d] = i // 3 ** d % 3
+    a[:, :4] = rng.integers(0, p, size=(2 * n, 4))
+    b = a[:1000].copy()
+    b[::2, 0] = (b[::2, 0] + 1) % p
+    stats = {}
+    _kernels.join_sort(as_pair(a, p), as_pair(b, p), p, stats)
+    assert stats["key_columns"] == 22 and stats["tied_rows"] == 2 * n + 1000
+    _check_join_sort(a, b, p)
+
+
 def test_tied_rows_decide_the_longest_cross_prefix():
     # p = 89, 22 columns as the search's: with 500 rows, 7 columns fit
     # beside the index, and the longest cross-table prefix (12 columns)
