@@ -28,7 +28,8 @@ indices by one join_hist (the prefix_hist of A against -B) per aligned
 block of indices, whose words are a sub-pair of A against a sub-pair of
 B; its hist[0] counts the rows that vanish outright.  run_pairs lists
 the agreeing pairs themselves, and shard_range is the one rule that cuts
-Gray indices into shards.  No side of a join holds over 2^JOIN_CAP rows.
+Gray indices into shards.  No side of a join holds over 2^JOIN_CAP rows,
+and check_side is the one place that refuses a larger one.
 """
 
 from __future__ import annotations
@@ -359,19 +360,28 @@ def sign_pair(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             sign_table(weights[:low], p).astype(dtype))
 
 
+def check_side(bits: int):
+    """Refuse a join side of 2^bits rows past the join cap, with TooLarge.
+
+    The one size rule of every join: each caller asks it, with the signs
+    of its larger side (d - d // 2 for the half_tables of d weights), before
+    it builds any weight matrix or table.
+    """
+    if bits > JOIN_CAP:
+        raise TooLarge(f"a join side of 2^{bits} rows exceeds the join cap "
+                       f"2^{JOIN_CAP}")
+
+
 def half_tables(weights: np.ndarray, p: int) -> tuple[tuple, tuple, int]:
     """sign_pair of the low and the high signs of weights, and the split.
 
     With d = len(weights) and b = d // 2, bit n of a low word w is the
     sign at n < b and bit n of a high word the sign at b + n; rows A[w]
     and B[w] hold the sum over their half, so a vector's row is
-    A[low word] + B[high word] mod p.  A high half of more than JOIN_CAP
-    signs is refused with TooLarge before any table is built.
+    A[low word] + B[high word] mod p.  Its caller has asked check_side
+    for the high half's d - b signs.
     """
     half = len(weights) // 2
-    if len(weights) - half > JOIN_CAP:
-        raise TooLarge(f"a join side of 2^{len(weights) - half} rows exceeds "
-                       f"the join cap 2^{JOIN_CAP}")
     return sign_pair(weights[:half], p), sign_pair(weights[half:], p), half
 
 

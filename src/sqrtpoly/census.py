@@ -9,9 +9,13 @@ the number Z_j of vectors whose top j coefficients vanish, and degree
 r-1-j is hit Z_j - Z_{j+1} times.  A and B are each held as a pair of
 the sign tables of their high and low quarters, of about 2^(r/4) rows,
 and a shard, a range of Gray-code indices, joins sub-pairs of them, one
-join per aligned block of indices.  No side of a join may hold more than
-2^JOIN_CAP rows (r <= 52), and a larger census is refused before any
-table is built.
+join per aligned block of indices.
+
+The one size rule is the join cap: no side of a join may hold more than
+2^26 rows (r <= 52 in full_census, d <= 52 in family_census), and
+_kernels.check_side refuses a larger census before its weights or any
+table is built.  An explicit max_r refuses less than that; none is
+applied by default.
 
 full_census joins the r coefficients.  family_census joins the d
 coefficients that the alternating-periodic subfamily can reach:
@@ -23,18 +27,14 @@ lists the joint vanishing set of orbit_divisibility_check.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _modmat, fourier
+from . import _kernels, _modmat
 from .errors import InvalidDivisor, SqrtPolyError, TooLarge, ValidationError
 from .field import FieldCtx
 from .signs import SignVector, orbit_stats
-
-DEFAULT_CENSUS_CAP = 30
-CAP_ENV_VAR = "SQRTPOLY_CAP_R"
 
 
 @dataclass
@@ -93,13 +93,6 @@ class DegreeHistogram:
 CSV_HEADER = ["p", "s", "q", "degree", "count", "family", "shard_count"]
 
 
-def census_cap(max_r: int | None = None) -> int:
-    if max_r is not None:
-        return max_r
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CENSUS_CAP
-
-
 def _coeff_weights(ctx: FieldCtx) -> np.ndarray:
     """w[n, k] = (1/r) * gamma^(n(1-2k)) mod p, so c_k = sum_n eps_n w[n, k]."""
     p, r = ctx.p, ctx.r
@@ -118,10 +111,11 @@ def _seed_coeffs(ctx: FieldCtx, word: int) -> np.ndarray:
     return _modmat.signed_dft(ctx, SignVector(word, ctx.r).signs())[0].copy()
 
 
-def _check_cap(ctx: FieldCtx, max_r: int | None):
-    cap = census_cap(max_r)
-    if ctx.r > cap:
-        raise TooLarge(f"r = {ctx.r} exceeds census cap {cap}")
+def _check_cap(name: str, d: int, max_r: int | None):
+    """Refuse a census over d signs above max_r, if given, or the join cap."""
+    if max_r is not None and d > max_r:
+        raise TooLarge(f"{name} = {d} exceeds census cap {max_r}")
+    _kernels.check_side(d - d // 2)
 
 
 def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
@@ -132,7 +126,7 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
     census_shard does, and every shard must count exactly its range.
     threads is accepted and ignored: the join runs in numpy.
     """
-    _check_cap(ctx, max_r)
+    _check_cap("r", ctx.r, max_r)
     r = ctx.r
     total = 1 << r
     shards = max(1, min(shards, total))
@@ -152,7 +146,7 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
 def census_shard(ctx: FieldCtx, index: int, count: int,
                  max_r: int | None = None) -> DegreeHistogram:
     """Degree histogram of shard index of count, as full_census splits it."""
-    _check_cap(ctx, max_r)
+    _check_cap("r", ctx.r, max_r)
     lo, hi = _kernels.shard_range(ctx.r, index, count)
     tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
     hist = _kernels.range_hist(tables, ctx.p, lo, hi)
@@ -193,13 +187,10 @@ def family_census(ctx: FieldCtx, d: int,
     D, so only d coefficients c_{k_t} need computing, and
     c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  Their columns go in
     ascending degree, so the join's top column is the highest degree.
-    d is capped like r in full_census: max_r, else SQRTPOLY_CAP_R, else
-    DEFAULT_CENSUS_CAP.
+    d is capped like r in full_census.
     """
     _check_family_divisor(ctx, d)
-    cap = census_cap(max_r)
-    if d > cap:
-        raise TooLarge(f"d = {d} exceeds cap {cap}")
+    _check_cap("d", d, max_r)
     p = ctx.p
     degs = family_admissible_degrees(ctx, d)[::-1]  # ascending
     exps = (1 - 2 * np.asarray(degs, dtype=np.int64)) % (p - 1)
@@ -214,12 +205,6 @@ def family_census(ctx: FieldCtx, d: int,
                                     "family": f"alt-{d}", "shards": 1})
 
 
-def coefficient_vanish_census(ctx: FieldCtx, k: int) -> int:
-    """#{eps : c_k(f_eps) = 0}, by the one-column join (works for any k)."""
-    _check_cap(ctx, None)
-    return fourier.count_vanishing_bruteforce(ctx, ctx.r, 1 - 2 * k)
-
-
 def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
     """Sign words (set bit: -1) whose half sums at every ell in ells vanish.
 
@@ -227,6 +212,7 @@ def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
     word vanishes exactly when its A and -B rows agree on all of them.
     """
     p, r = ctx.p, ctx.r
+    _kernels.check_side(r - r // 2)
     w = _modmat.power_block(ctx, np.arange(r, dtype=np.int64),
                             np.asarray(ells, dtype=np.int64) % (p - 1))
     a, b, half = _kernels.half_tables(w, p)

@@ -16,13 +16,10 @@ import numpy as np
 
 from . import _kernels, _modmat, poly
 from .errors import (InvalidDivisor, LengthMismatch, NotASqrtPoly, NotCoprime,
-                     PeriodDoesNotDivide, SqrtPolyError, TooLarge,
-                     UnresolvedHalfRoot)
+                     PeriodDoesNotDivide, SqrtPolyError, UnresolvedHalfRoot)
 from .field import FieldCtx, legendre, root_of_unity
 from .poly import Poly
 from .signs import SignVector
-
-BRUTE_FORCE_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class HalfSumSpec:
 def half_sum_spec(ctx: FieldCtx, d: int, k: int) -> HalfSumSpec:
     if ctx.r % d != 0:
         raise InvalidDivisor(f"d = {d} does not divide r = {ctx.r}")
-    return HalfSumSpec(d=d, k=k, zeta=root_of_unity(ctx, 2 * d))
+    return HalfSumSpec(d, k, root_of_unity(ctx, 2 * d))
 
 
 def half_sum(spec: HalfSumSpec, eps: SignVector, p: int) -> int:
@@ -141,24 +138,21 @@ def count_vanishing_formula(ctx: FieldCtx, ell: int) -> int:
 
 
 def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
-                               shard: tuple[int, int] | None = None,
-                               zeta: int | None = None) -> int:
+                               shard: tuple[int, int] | None = None) -> int:
     """#{eps in E_d : H_{d,ell}(eps) = 0}, exact, by a one-column join.
 
-    With w = zeta^ell, H = A(low signs) + B(high signs) for the half sums
-    A, B of eps_n w^n, so the count is the number of pairs with A = -B:
-    the census join over one column, whose hist[0] counts the vanishing
-    sums.  shard = (index, total) restricts to the Gray-code indices
-    [2^d index // total, 2^d (index+1) // total); slices sum to the full
-    count.  zeta overrides the canonical primitive 2d-th root (the count
-    is root-independent; tested).
+    With w = zeta^ell for the canonical primitive 2d-th root zeta,
+    H = A(low signs) + B(high signs) for the half sums A, B of eps_n w^n,
+    so the count is the number of pairs with A = -B: the census join over
+    one column, whose hist[0] counts the vanishing sums.  shard = (index,
+    total) restricts to the Gray-code indices [2^d index // total,
+    2^d (index+1) // total); slices sum to the full count.  Another
+    primitive root zeta^e is the canonical one at ell * e.  A join side
+    past the join cap (d > 52) is refused with TooLarge.
     """
-    if d > BRUTE_FORCE_CAP:
-        raise TooLarge(f"d = {d} exceeds enumeration cap {BRUTE_FORCE_CAP}")
+    _kernels.check_side(d - d // 2)
     p = ctx.p
-    if zeta is None:
-        zeta = root_of_unity(ctx, 2 * d)
-    w = pow(zeta, ell % (2 * d), p)
+    w = pow(root_of_unity(ctx, 2 * d), ell % (2 * d), p)
     lo, hi = (0, 1 << d) if shard is None else _kernels.shard_range(d, *shard)
     if lo >= hi:
         return 0

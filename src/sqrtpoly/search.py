@@ -6,15 +6,17 @@ found by sorting the coefficient vectors of both 2^((p-1)/4)-member
 families together, highest degree first, and matching the longest
 cross-family common prefix.  Total work O(p * 2^((p-1)/4)).
 
-A family is held as a pair (P, Q) of half tables of about 2^((p-1)/8)
-rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p: at level 0
-the sign tables of the high and the low signs, above it the child level
-glued with 0 and 0 glued with its partner (poly.glue_rows is linear).  A
-block shift scales columns, so the second family is the first pair
+A family is the sign_table of its M_k x M_k weights, as a census is: at
+level 0 fourier.subgroup_weights, above it the partner's weights glued
+as 0 with them and the child's glued with 0, since poly.glue_rows is
+linear.  It is held as the sign_pair (P, Q) of its weights, of about
+2^((p-1)/8) rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p.
+A block shift scales columns, so the second family is the first pair
 scaled.  The join sorts one uint64 key per member, packed straight from
 the pairs: its top coefficients above its index.  Members that tie on
 those coefficients are the only ones built as rows, for the tie pass, and
-the representatives the only ones glued.
+the representatives the only ones glued.  A family of more than 2^26
+members (m > 26, p > 101) is refused by _kernels.check_side.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import _kernels, fourier, poly
 from .errors import (CancellationImpossible, LevelOutOfRange, SqrtPolyError,
-                     TooLarge, WrongResidue)
+                     WrongResidue)
 from .field import FieldCtx
 from .poly import Poly, is_sqrt_poly, monomial
 from .ts import shift_scales
@@ -65,44 +67,22 @@ class SearchReport:
         }
 
 
-def _scaled(ctx: FieldCtx, pair: tuple, i: int) -> tuple:
-    """The pair of the family shifted to block i, f |-> gamma^i f(gamma^(-2i) x).
+def _family_weights(ctx: FieldCtx, k: int) -> np.ndarray:
+    """The M_k x M_k weights of F_0^k: member w is sign_table row w.
 
-    The shift scales column j of every member by the same factor, so it
-    scales both half tables.
+    Level 0 is the subgroup_weights of mu_q.  Above it, the low M_(k-1)
+    signs pick a member b of the partner, the child shifted by
+    2^(s-1-k) blocks, and the high ones a member a of the child, and the
+    gluing of a with b is the sum of the gluings of 0 with b and of a
+    with 0.
     """
-    if not i:
-        return pair
-    scales = shift_scales(ctx, i, pair[0].shape[1])
-    return tuple((t * scales % ctx.p).astype(t.dtype) for t in pair)
-
-
-def _family_pair(ctx: FieldCtx, k: int) -> tuple:
-    """F_0^k as a pair (P, Q): member u * len(Q) + v is P[u] + Q[v] mod p.
-
-    At level 0 P and Q are the sign tables of the high and the low signs
-    of the 2^q polynomials on S_0 = mu_q (member w is sign word w).  Above
-    it, the gluing of a child member a with a partner member b is linear,
-    the sum of the gluings of a with 0 and of 0 with b: P glues the child
-    level with 0 and Q glues 0 with its partner.  Both are stored in the
-    narrowest dtype of p - 1.
-    """
-    p, dtype = ctx.p, np.min_scalar_type(ctx.p - 1)
     if k == 0:
-        if ctx.q > _kernels.JOIN_CAP:
-            raise TooLarge(f"q = {ctx.q} exceeds the join cap {_kernels.JOIN_CAP}")
-        return _kernels.sign_pair(fourier.subgroup_weights(ctx, ctx.q), p)
-    child = _level_members(ctx, k - 1)
-    partner, = _scaled(ctx, (child,), 1 << (ctx.s - 1 - k))
+        return fourier.subgroup_weights(ctx, ctx.q)
+    child = _family_weights(ctx, k - 1)
+    shift = shift_scales(ctx, 1 << (ctx.s - 1 - k), child.shape[1])
     zero = np.zeros_like(child)
-    return (poly.glue_rows(ctx, child, zero, k - 1, 0).astype(dtype),
-            poly.glue_rows(ctx, zero, partner, k - 1, 0).astype(dtype))
-
-
-def _level_members(ctx: FieldCtx, k: int, i: int = 0) -> np.ndarray:
-    """F_i^k member matrix, one row per member, from its pair."""
-    pair = _scaled(ctx, _family_pair(ctx, k), i)
-    return _kernels.pair_rows(pair, np.arange(len(pair[0]) * len(pair[1])), ctx.p)
+    return np.vstack([poly.glue_rows(ctx, zero, child * shift % ctx.p, k - 1, 0),
+                      poly.glue_rows(ctx, child, zero, k - 1, 0)])
 
 
 def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
@@ -111,27 +91,28 @@ def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
 
 
 def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
-    """F_i^k with all 2^(2^k q) members."""
+    """F_i^k with all 2^(2^k q) members: F_0^k with its columns shifted."""
     if ctx.s < 2 or not (0 <= k <= ctx.s - 2):
         raise LevelOutOfRange(f"level {k} not in [0, {ctx.s - 2}]")
     m = (1 << k) * ctx.q
-    if m > _kernels.JOIN_CAP:
-        raise TooLarge(f"M_k = {m} exceeds the join cap {_kernels.JOIN_CAP}")
+    _kernels.check_side(m)
+    weights = _family_weights(ctx, k) * shift_scales(ctx, i, m) % ctx.p
+    pair = _kernels.sign_pair(weights, ctx.p)
     return LevelFamily(level=k, block=i, modulus=m,
-                       members=_level_members(ctx, k, i))
+                       members=_kernels.pair_rows(pair, np.arange(1 << m), ctx.p))
 
 
 def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
     """The pairs of the two top families: F_0^(s-2) and its shift to block 1.
 
-    Each family has 2^m members, m = (p-1)/4, and m is capped at
-    _kernels.JOIN_CAP.
+    Each family has 2^m members, m = (p-1)/4.  The shift scales every
+    column of every member, so it scales both tables of the first pair.
     """
     m = (ctx.p - 1) // 4
-    if m > _kernels.JOIN_CAP:
-        raise TooLarge(f"(p-1)/4 = {m} exceeds the join cap {_kernels.JOIN_CAP}")
-    fam_a = _family_pair(ctx, ctx.s - 2)
-    return fam_a, _scaled(ctx, fam_a, 1)
+    _kernels.check_side(m)
+    fam_a = _kernels.sign_pair(_family_weights(ctx, ctx.s - 2), ctx.p)
+    scales = shift_scales(ctx, 1, m)
+    return fam_a, tuple((t * scales % ctx.p).astype(t.dtype) for t in fam_a)
 
 
 def minimal_search(ctx: FieldCtx,
@@ -161,7 +142,9 @@ def minimal_search(ctx: FieldCtx,
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
     min_degree = m + (m - 1 - best)
-    if not -(-(ctx.p - 1) // 3) <= min_degree <= ctx.r - (ctx.q - 1) // 2:
+    # the (p-1)/3 lower bound does not hold at p = 5: 4 + 2x has degree 1
+    low = -(-(ctx.p - 1) // 3) if ctx.p > 5 else 1
+    if not low <= min_degree <= ctx.r - (ctx.q - 1) // 2:
         raise SqrtPolyError(f"search degree {min_degree} is outside the "
                             "(p-1)/3 lower and Tonelli-Shanks upper bounds")
 

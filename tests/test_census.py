@@ -116,15 +116,10 @@ def test_block_census_exactness_check(monkeypatch, ctx13, level, change, match):
 @pytest.mark.parametrize("p", P_1_MOD_4)
 def test_block_census_matches_half_table_join(p):
     # the census's half-table join against an independent route: the
-    # search's block join, on the minimum degree and its count, and at
-    # p = 5, whose minimum (degree 1) lies below the (p-1)/3 bound that
-    # the search checks, brute force on every degree
+    # search's block join, on the minimum degree and its count
     ctx = make_field_ctx(p)
     hist = full_census(ctx, max_r=ctx.r)
     assert hist.total == 1 << ctx.r
-    if p == 5:
-        assert hist.counts == brute_degree_counts(ctx)
-        return
     report = search.minimal_search(ctx)
     assert hist.min_degree() == report.min_degree
     assert hist.counts[report.min_degree] == report.minimizer_count
@@ -148,14 +143,16 @@ def test_census_minimum_at_p_3_mod_4_is_the_monomial_pair(p):
     assert hist.counts[(p + 1) // 4] == 2
 
 
-@pytest.mark.parametrize("p", (107, 109, 113))
+@pytest.mark.parametrize("p", (107, 109, 113, 20011))
 def test_census_refuses_oversized_joins_before_any_table(monkeypatch, p):
     # r = 53, 54, 56: a join side of 2^27 or 2^28 rows, refused by the cap
-    # the search shares, before any sign table is built
-    def refuse(weights, p):
-        raise AssertionError("a sign table was built")
+    # the search shares, before the weights or any sign table are built;
+    # at r = 10005 the r x r weights alone would take 800 MB
+    def refuse(*args):
+        raise AssertionError("a weight matrix or a sign table was built")
 
     monkeypatch.setattr(_kernels, "sign_table", refuse)
+    monkeypatch.setattr(census, "_coeff_weights", refuse)
     ctx = make_field_ctx(p)
     with pytest.raises(TooLarge, match="cap"):
         full_census(ctx, max_r=p)
@@ -269,13 +266,14 @@ def test_prefix_counts_matches_scan_runs_on_real_joins(p):
                           scan_runs_prefix_counts(lcp, src, ctx.r))
 
 
-def test_census_cap(monkeypatch):
+def test_census_cap():
     ctx = make_field_ctx(67)  # r = 33 > 30
+    with pytest.raises(TooLarge, match="census cap 30"):
+        full_census(ctx, max_r=30)
+    with pytest.raises(TooLarge, match="census cap 30"):
+        census.census_shard(ctx, 0, 4, max_r=30)
     with pytest.raises(TooLarge):
-        full_census(ctx)
-    monkeypatch.setenv(census.CAP_ENV_VAR, "10")
-    with pytest.raises(TooLarge):
-        full_census(make_field_ctx(29))
+        full_census(make_field_ctx(29), max_r=10)
     assert full_census(make_field_ctx(29), max_r=14).counts == ALL_COUNTS[29]
 
 
@@ -320,10 +318,9 @@ def test_family_census_errors(ctx13):
         family_census(make_field_ctx(12289), 2048)  # r = 6144 = 2048 * 3
 
 
-def test_family_census_cap_from_env(monkeypatch, ctx41):
-    monkeypatch.setenv(census.CAP_ENV_VAR, "3")
+def test_family_census_cap(ctx41):
     with pytest.raises(TooLarge):
-        family_census(ctx41, 4)
+        family_census(ctx41, 4, max_r=3)
     assert family_census(ctx41, 4, max_r=4).counts == TS_COUNTS[41]
 
 
@@ -341,13 +338,8 @@ def test_coefficient_vanish_census(ctx13):
             f = fourier.coeffs_from_signs(ctx13, SignVector(w, ctx13.r))
             if f.coeffs[k] == 0:
                 want += 1
-        assert census.coefficient_vanish_census(ctx13, k) == want
-
-
-def test_coefficient_vanish_census_cap_from_env(monkeypatch, ctx13):
-    monkeypatch.setenv(census.CAP_ENV_VAR, "5")
-    with pytest.raises(TooLarge):
-        census.coefficient_vanish_census(ctx13, 0)  # r = 6
+        # c_k = (1/r) H_{r,1-2k}: the one-column join at ell = 1 - 2k
+        assert fourier.count_vanishing_bruteforce(ctx13, ctx13.r, 1 - 2 * k) == want
 
 
 def test_orbit_divisibility(ctx13):

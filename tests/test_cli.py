@@ -122,6 +122,13 @@ def test_census_past_the_default_cap(capsys):
     assert obj["total"] == str(1 << 36)
 
 
+def test_census_needs_no_max_r_below_the_join_cap(capsys):
+    # p = 67, r = 33: only the join cap applies, and one join of
+    # 2^16 + 2^17 rows is far below it
+    obj = run_json(capsys, ["census", "--p", "67"])
+    assert obj["total"] == str(1 << 33)
+
+
 def test_family_census(capsys):
     obj = run_json(capsys, ["family-census", "--p", "97", "--d", "16"])
     assert obj["counts"] == {str(d): str(n) for d, n in TS_COUNTS[97].items()}
@@ -237,10 +244,10 @@ def test_exit_code_validation():
     assert cli.main(["decompose", "--p", "41", "--poly", "[2]"]) == 2
 
 
-def test_exit_code_resource_cap(monkeypatch):
-    assert cli.main(["census", "--p", "67"]) == 3
-    monkeypatch.setenv("SQRTPOLY_CAP_R", "4")
-    assert cli.main(["census", "--p", "13"]) == 3
+def test_exit_code_resource_cap():
+    assert cli.main(["census", "--p", "67", "--max-r", "30"]) == 3
+    # r = 56: a join side of 2^28 rows, past the join cap
+    assert cli.main(["census", "--p", "113", "--max-r", "60"]) == 3
 
 
 def test_reproduce_tables_cap_default():

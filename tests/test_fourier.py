@@ -153,6 +153,14 @@ def test_count_vanishing_formula_matches_bruteforce():
                 fourier.count_vanishing_bruteforce(ctx, ctx.r, ell)
 
 
+@pytest.mark.parametrize("p, want", [(73, 941362696), (89, 197665011736)])
+def test_count_vanishing_formula_matches_the_join_at_large_r(p, want):
+    # r = 36 and 44: joins of 2^18 and 2^22 rows a side
+    ctx = make_field_ctx(p)
+    assert fourier.count_vanishing_formula(ctx, 1) == want
+    assert fourier.count_vanishing_bruteforce(ctx, ctx.r, 1) == want
+
+
 def test_count_vanishing_formula_errors(ctx13):
     with pytest.raises(NotCoprime):
         fourier.count_vanishing_formula(ctx13, 2)
@@ -201,22 +209,24 @@ def test_bruteforce_exact_at_a_61_bit_prime():
 
 
 def test_bruteforce_root_choice_independent(ctx13):
-    # |V_{d,ell}| cannot depend on which primitive 2d-th root is used
+    # |V_{d,ell}| cannot depend on which primitive 2d-th root is used:
+    # zeta^e at ell = 1 is the canonical root at ell = e
     p = ctx13.p
     base = root_of_unity(ctx13, 12)
     counts = set()
     for e in range(1, 12):
         if math.gcd(e, 12) == 1:
             zeta = pow(base, e, p)
-            count = fourier.count_vanishing_bruteforce(ctx13, 6, 1, zeta=zeta)
+            count = fourier.count_vanishing_bruteforce(ctx13, 6, e)
             assert count == gray_walk_vanishing(ctx13, 6, 1, 0, 64, zeta=zeta)
             counts.add(count)
     assert len(counts) == 1
 
 
-def test_bruteforce_cap(ctx29):
-    with pytest.raises(TooLarge):
-        fourier.count_vanishing_bruteforce(ctx29, 31, 1)
+def test_bruteforce_cap():
+    # d = 54: a join side of 2^27 rows, past the join cap
+    with pytest.raises(TooLarge, match="join cap"):
+        fourier.count_vanishing_bruteforce(make_field_ctx(109), 54, 1)
 
 
 def test_vanishing_count_vs_direct_enumeration(ctx13):

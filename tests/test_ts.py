@@ -5,7 +5,7 @@ import pytest
 
 from sqrtpoly import fourier, make_field_ctx, search, ts
 from sqrtpoly._modmat import eval_on_squares
-from sqrtpoly.errors import BlockOutOfRange, LevelOutOfRange
+from sqrtpoly.errors import BlockOutOfRange, LevelOutOfRange, TooLarge
 from sqrtpoly.poly import eval_poly, is_sqrt_poly
 from sqrtpoly.signs import SignVector, from_signs
 
@@ -124,6 +124,18 @@ def test_enumerate_ts_histograms():
         assert hist.counts == TS_COUNTS[p]
         assert hist.total == ts.block_choice_count(ctx)
         assert polys is None
+
+
+def test_enumerate_ts_past_the_enumeration_cap():
+    # p = 193, s = 6: 2^32 block choices, counted by the family join; only
+    # the dump, which builds every polynomial, is refused
+    ctx = make_field_ctx(193)
+    hist, polys = ts.enumerate_ts(ctx)
+    assert hist.total == ts.block_choice_count(ctx) == 1 << 32
+    assert set(hist.counts) <= set(ts.ts_admissible_degrees(ctx))
+    assert polys is None
+    with pytest.raises(TooLarge):
+        ts.enumerate_ts(ctx, dump=True)
 
 
 def test_enumerate_ts_dump(ctx41):
