@@ -1,5 +1,5 @@
-"""The meet-in-the-middle join shared by the census, the vanishing counts
-and the minimal-degree search (Horowitz-Sahni).
+"""The two-list join of Horowitz and Sahni, shared by the census, the
+vanishing counts and the minimal-degree search.
 
 Each of them asks how many pairs (a row of A, a row of B) agree on their
 top j columns.  Every table is a pair (P, Q) whose row u * len(Q) + v is
@@ -11,25 +11,27 @@ uint64 key per row, the row's top columns above its index, from
 broadcast sums of P and Q, and sorts the keys by value: the sorted keys
 give the order and the prefix lengths, and only the rows that tie on
 all the key's columns are built, a few columns at a time, and sorted on
-the rest.  scan_runs cuts the sorted rows into runs that agree on their
-top j columns and counts each run's rows from A and from B; a run of na
-rows of A and nb rows of B holds na * nb agreeing pairs.  prefix_counts
-sums them at every j, Z_j, from one cumsum of the rows' tables, and
-prefix_hist turns the Z_j into the degree histogram of the pairs'
-differences.
+the rest.  _runs cuts the sorted rows into runs that agree on their top
+j columns, from where the mask lcp >= j flips, and every run of the join
+comes from it: the tie pass's, scan_runs' and prefix_counts'.  A run of
+na rows of A and nb rows of B holds na * nb agreeing pairs; scan_runs
+lists the runs at one j, and prefix_counts sums them at every j, Z_j,
+from one cumsum of the rows' tables.
 
 The censuses and the vanishing counts sum signed weights: sign_table
 gives sum_n eps_n weights[n] mod p for every sign word, and it is the
-one place that turns sign words into signs.  With half_tables A and B,
-the sign_pairs of the low and the high signs, a vector's row is A + B
-mod p, and its top j entries vanish exactly when its A and -B rows agree
-on them.  range_hist counts the degrees of A + B over a range of Gray
-indices by one join_hist (the prefix_hist of A against -B) per aligned
-block of indices, whose words are a sub-pair of A against a sub-pair of
-B; its hist[0] counts the rows that vanish outright.  run_pairs lists
-the agreeing pairs themselves, and shard_range is the one rule that cuts
-Gray indices into shards.  No side of a join holds over 2^JOIN_CAP rows,
-and check_side is the one place that refuses a larger one.
+one place that turns sign words into signs.  half_tables gives A, the
+sign_pair of the low signs, and B, the sign_pair of the high signs'
+negated weights, so a vector's row is A - B mod p, and its top j entries
+vanish exactly when its A and B rows agree on them.  join_hist turns the
+Z_j of a join into the degree histogram of the differences of its rows,
+and range_hist counts the degrees of A - B over a range of Gray indices
+by one join_hist per aligned block of indices, whose words are a
+sub-pair of A against a sub-pair of B; its hist[0] counts the rows that
+vanish outright.  run_pairs lists the agreeing pairs themselves, and
+shard_range is the one rule that cuts Gray indices into shards.  No side
+of a join holds over 2^JOIN_CAP rows, and check_side is the one place
+that refuses a larger one.
 """
 
 from __future__ import annotations
@@ -124,14 +126,27 @@ def _zero_top_digits(x: np.ndarray, digits: int, bits: int) -> np.ndarray:
     return n
 
 
-def _chains(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maximal chains of ascending links: link t joins sorted rows t, t+1.
+def _runs(lcp: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of sorted rows at level j: the maximal chains of links lcp >= j.
 
-    Chain k covers sorted rows starts[k] up to ends[k], exclusive.
+    Link t joins sorted rows t and t + 1, and run k covers sorted rows
+    starts[k] up to ends[k], exclusive, so it holds at least two rows.
+    The runs begin and end where the mask lcp >= j flips, and the flips
+    are found a block of _BLOCK_ROWS links at a time, so no mask of all
+    of lcp is built.
     """
-    starts = links[np.diff(links, prepend=-2) != 1]
-    ends = links[np.diff(links, append=-1) != 1] + 2
-    return starts, ends
+    edges, was = [np.zeros(0, dtype=np.intp)], False  # was: the mask before the block
+    for at in range(0, len(lcp), _BLOCK_ROWS):
+        mask = lcp[at:at + _BLOCK_ROWS] >= j
+        if mask[0] != was:
+            edges.append([at])
+        edges.append(np.flatnonzero(mask[1:] != mask[:-1]) + (at + 1))
+        was = mask[-1]
+    if was:
+        edges.append([len(lcp)])
+    # the edges alternate: a run's first link, then the link after its last
+    edges = np.concatenate(edges)
+    return edges[0::2], edges[1::2] + 1
 
 
 def _spans(starts: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -140,21 +155,25 @@ def _spans(starts: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
-                tied: np.ndarray, rest: int) -> np.ndarray:
+                rest: int) -> np.ndarray:
     """Sort the runs of rows tied on their key columns by their `rest` others.
 
     order is sorted by key columns and then index, and lcp counts shared
-    key columns; tied lists the links whose rows share all of them.  The
-    runs are sorted _TIE_COLUMNS columns at a time, top first: the next
-    columns of their rows are built, each run is sorted again on them
-    and then its index, the tied links' lcp are extended over them, and
-    only the links that tie on all of them go on to the columns below.
-    Returns the columns the first pass read.
+    key columns, so the rows tied on all of them are the runs at the
+    level of the key's columns.  The runs are sorted _TIE_COLUMNS columns
+    at a time, top first: the next columns of their rows are built, each
+    run is sorted again on them and then its index, its links' lcp are
+    extended over them, and only the runs at the level of every column
+    read so far go on to the columns below.  Returns the columns the
+    first pass read.
     """
-    na, first = _height(a), np.zeros((0, 0), dtype=np.uint8)
-    while len(tied) and rest:
+    na, cols_all = _height(a), a[0].shape[1]
+    first = np.zeros((0, 0), dtype=np.uint8)
+    while rest:
+        starts, ends = _runs(lcp, cols_all - rest)
+        if not len(starts):
+            break
         cols = slice(max(rest - _TIE_COLUMNS, 0), rest)
-        starts, ends = _chains(tied)
         at = _spans(starts, ends - starts)
         run = np.repeat(np.arange(len(starts)), ends - starts)  # each row's tied run
         sub = order[at]
@@ -167,12 +186,11 @@ def _break_ties(a, b, p: int, order: np.ndarray, lcp: np.ndarray,
         digits = range(0, int(run[-1]).bit_length() or 1, 16)
         perm = np.lexsort([*rows.T, *((run >> d).astype(np.uint16) for d in digits)])
         order[at] = sub[perm]
-        # sorted rows t and t + 1 of a tied link are rows i and i + 1 read
-        i = np.searchsorted(at, tied)
+        # rows i and i + 1 read, of one run, are sorted rows at[i], at[i] + 1
+        i = np.flatnonzero(run[1:] == run[:-1])
         eq = (rows[perm[i]] == rows[perm[i + 1]])[:, ::-1]
-        same = np.logical_and.accumulate(eq, axis=1).sum(axis=1, dtype=np.uint8)
-        lcp[tied] += same
-        tied, rest = tied[same == rows.shape[1]], cols.start
+        lcp[at[i]] += np.logical_and.accumulate(eq, axis=1).sum(axis=1, dtype=np.uint8)
+        rest = cols.start
         first = rows if not first.size else first
     return first
 
@@ -204,19 +222,15 @@ def join_sort(a, b, p: int, stats: dict | None = None):
     key.sort()
     bits, rest = (p - 1).bit_length(), a[0].shape[1] - c  # rest: columns not in the key
     lcp = np.empty(max(len(key) - 1, 0), dtype=np.uint8)
-    tied = [np.zeros(0, dtype=np.intp)]
     for at in range(0, len(lcp), _BLOCK_ROWS):
         # the key digits that links at..end - 1 share, a block at a time
         end = min(at + _BLOCK_ROWS, len(lcp))
         x = key[at + 1:end + 1] ^ key[at:end]
         x >>= np.uint64(ibits)
         lcp[at:end] = _zero_top_digits(x, c, bits)
-        if rest:
-            tied.append(np.flatnonzero(x == 0) + at)
-    tied = np.concatenate(tied)
     key &= np.uint64((1 << ibits) - 1)
     order = key.view(np.int64)
-    rows = _break_ties(a, b, p, order, lcp, tied, rest)
+    rows = _break_ties(a, b, p, order, lcp, rest)
     src = (order >= _height(a)).astype(np.int8)
     if stats is not None:
         stats.update(key_columns=c, tied_rows=len(rows),
@@ -238,21 +252,16 @@ def _b_upto(src: np.ndarray) -> np.ndarray:
     return upto
 
 
-def _run_counts(upto: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Rows of a and of b in the runs of sorted rows starts[k] to ends[k]."""
-    nb = (upto[ends] - upto[starts]).astype(np.int64)
-    return ends - starts - nb, nb
-
-
 def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
     """Runs of join_sort's rows whose top `length` columns agree.
 
-    A run is a maximal chain of links lcp >= length, so it holds at least
-    two rows; a row in no run pairs with nothing.  Returns (starts, na,
-    nb): run t begins at sorted row starts[t] and holds na[t] rows of a
-    and nb[t] rows of b.  Only the rows of the runs are read for nb.
+    A run is a maximal chain of links lcp >= length (_runs), so it holds
+    at least two rows; a row in no run pairs with nothing.  Returns
+    (starts, na, nb): run t begins at sorted row starts[t] and holds
+    na[t] rows of a and nb[t] rows of b.  Only the rows of the runs are
+    read for nb.
     """
-    starts, ends = _chains(np.flatnonzero(lcp >= length))
+    starts, ends = _runs(lcp, length)
     size = ends - starts
     nb = np.add.reduceat(src[_spans(starts, size)], np.cumsum(size) - size,
                          dtype=np.int64)
@@ -262,50 +271,21 @@ def scan_runs(lcp: np.ndarray, src: np.ndarray, length: int):
 def prefix_counts(lcp: np.ndarray, src: np.ndarray, levels: int) -> np.ndarray:
     """Z_j for j = 0..levels: the (a row, b row) pairs whose top j columns agree.
 
-    lcp and src are join_sort's.  At level j the links lcp < j are cuts,
-    and they split the sorted rows into segments; a segment of na rows of
-    a and nb rows of b holds na * nb agreeing pairs, so Z_0 = len(a) *
-    len(b).  One cumsum of src gives every segment's nb.  Each level reads
-    whichever list is shorter: its cuts, whose gaps are the segments, or
-    its links, whose chains are the segments of two rows or more.  The
-    links of a level are the links of the level below that reach it, and
-    its cuts are the cuts of the level above less those that reach their
-    level, so each list is found in lcp once, where the two lists meet,
-    and every other level filters its neighbour's.  The levels above the
-    first that no link reaches hold no pairs and are not read.
+    lcp and src are join_sort's.  A run at level j (_runs) of na rows of
+    a and nb rows of b holds na * nb agreeing pairs, and a row in no run
+    pairs with nothing, so Z_0 = len(a) * len(b).  One cumsum of src
+    gives every run's nb.  The levels above the first that no link
+    reaches hold no pairs and are not read.
     """
     upto = _b_upto(src)
-    meet = 0  # the first level with no more links than cuts
-    while meet <= levels and 2 * np.count_nonzero(lcp >= meet) > len(lcp):
-        meet += 1
     z = np.zeros(levels + 1, dtype=np.int64)
-    for j in range(meet, levels + 1):
-        at = np.flatnonzero(lcp >= j) if j == meet else at[lcp[at] >= j]
-        if not len(at):
+    for j in range(levels + 1):
+        starts, ends = _runs(lcp, j)
+        if not len(starts):
             break
-        na, nb = _run_counts(upto, *_chains(at))
-        z[j] = na @ nb
-    for j in range(meet - 1, -1, -1):
-        at = np.flatnonzero(lcp < j) if j == meet - 1 else at[lcp[at] < j]
-        bounds = np.concatenate(([0], at + 1, [len(src)]))
-        na, nb = _run_counts(upto, bounds[:-1], bounds[1:])
-        z[j] = na @ nb
+        nb = (upto[ends] - upto[starts]).astype(np.int64)
+        z[j] = (ends - starts - nb) @ nb
     return z
-
-
-def prefix_hist(lcp: np.ndarray, src: np.ndarray, cols: int) -> np.ndarray:
-    """Degree histogram of a[i] - b[j] over every pair of rows.
-
-    From join_sort's lcp and src for tables of cols columns: a difference
-    has degree cols-1-j exactly when its top j columns vanish and its next
-    does not, so hist[cols-j] = Z_j - Z_{j+1} counts that degree, and
-    hist[0] = Z_cols counts the equal pairs.
-    """
-    z = prefix_counts(lcp, src, cols)
-    hist = np.empty(cols + 1, dtype=np.int64)
-    hist[0] = z[cols]
-    hist[1:] = (z[:-1] - z[1:])[::-1]
-    return hist
 
 
 def run_pairs(order: np.ndarray, src: np.ndarray, runs: tuple,
@@ -373,25 +353,17 @@ def check_side(bits: int):
 
 
 def half_tables(weights: np.ndarray, p: int) -> tuple[tuple, tuple, int]:
-    """sign_pair of the low and the high signs of weights, and the split.
+    """sign_pair of the low signs and of the high signs negated, and the split.
 
     With d = len(weights) and b = d // 2, bit n of a low word w is the
-    sign at n < b and bit n of a high word the sign at b + n; rows A[w]
-    and B[w] hold the sum over their half, so a vector's row is
-    A[low word] + B[high word] mod p.  Its caller has asked check_side
+    sign at n < b and bit n of a high word the sign at b + n; row A[w]
+    holds the sum over the low half and row B[w] minus the sum over the
+    high half, from the negated weights, so a vector's row is
+    A[low word] - B[high word] mod p.  Its caller has asked check_side
     for the high half's d - b signs.
     """
     half = len(weights) // 2
-    return sign_pair(weights[:half], p), sign_pair(weights[half:], p), half
-
-
-def negated(pair: tuple, p: int) -> tuple:
-    """The pair whose rows are the pair's rows negated mod p, in its dtype.
-
-    p - x lies in [1, p] for x in [0, p), so an unsigned dtype never wraps
-    round, as -x would (to 256 - x in uint8), and % p takes p back to 0.
-    """
-    return tuple((p - t) % p for t in pair)
+    return sign_pair(weights[:half], p), sign_pair(-weights[half:] % p, p), half
 
 
 def shard_range(bits: int, index: int, count: int) -> tuple[int, int]:
@@ -406,15 +378,17 @@ def shard_range(bits: int, index: int, count: int) -> tuple[int, int]:
 
 
 def join_hist(a: tuple, b: tuple, p: int) -> np.ndarray:
-    """Degree histogram of all sums a[i] + b[j] mod p, as prefix_hist.
+    """Degree histogram of all differences a[i] - b[j] mod p.
 
-    A run of the rows of a and -b sorted together whose top j columns
-    agree pairs each a row with each -b row into a sum whose top j
-    coefficients vanish, so Z_j = sum over runs of #a * #b, and degree
-    cols-1-j occurs Z_j - Z_{j+1} times.
+    A difference's top j coefficients vanish exactly when its rows agree
+    on their top j columns, so Z_j (prefix_counts) counts them, and a
+    difference has degree cols-1-j exactly when its top j columns vanish
+    and its next does not: hist[cols-j] = Z_j - Z_{j+1}, and hist[0] =
+    Z_cols counts the equal pairs.
     """
-    src, lcp = join_sort(a, negated(b, p), p)[1:]
-    return prefix_hist(lcp, src, a[0].shape[1])
+    src, lcp = join_sort(a, b, p)[1:]
+    z = prefix_counts(lcp, src, a[0].shape[1])
+    return np.concatenate((z[-1:], (z[:-1] - z[1:])[::-1]))
 
 
 def _gray_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -438,7 +412,7 @@ def _gray_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def range_hist(tables: tuple, p: int, lo: int, hi: int) -> np.ndarray:
-    """Degree histogram of A + B over the Gray indices [lo, hi), as join_hist.
+    """Degree histogram of A - B over the Gray indices [lo, hi), as join_hist.
 
     Each aligned block of 2^t indices (_gray_blocks) is the words
     start + u, u < 2^t: for t >= b, all of A against 2^(t-b) rows of B,

@@ -1,12 +1,13 @@
 """Exhaustive degree censuses over sign vectors.
 
 Every count here is the meet-in-the-middle join of _kernels.  The
-coefficient vector splits as c = A(low signs) + B(high signs); the top j
-coefficients of a vector vanish exactly when its A and -B rows agree on
-those j columns, so one sort of both 2^(r/2)-row tables of r columns and
-the runs of rows that agree on their top j columns give, for every j,
-the number Z_j of vectors whose top j coefficients vanish, and degree
-r-1-j is hit Z_j - Z_{j+1} times.  A and B are each held as a pair of
+coefficient vector splits as c = A(low signs) - B(high signs), with B
+summed from the negated high weights; the top j coefficients of a vector
+vanish exactly when its A and B rows agree on those j columns, so one
+sort of both 2^(r/2)-row tables of r columns and the runs of rows that
+agree on their top j columns give, for every j, the number Z_j of
+vectors whose top j coefficients vanish, and degree r-1-j is hit
+Z_j - Z_{j+1} times.  A and B are each held as a pair of
 the sign tables of their high and low quarters, of about 2^(r/4) rows,
 and a shard, a range of Gray-code indices, joins sub-pairs of them, one
 join per aligned block of indices.
@@ -111,11 +112,11 @@ def _seed_coeffs(ctx: FieldCtx, word: int) -> np.ndarray:
     return _modmat.signed_dft(ctx, SignVector(word, ctx.r).signs())[0].copy()
 
 
-def _check_cap(name: str, d: int, max_r: int | None):
-    """Refuse a census over d signs above max_r, if given, or the join cap."""
-    if max_r is not None and d > max_r:
-        raise TooLarge(f"{name} = {d} exceeds census cap {max_r}")
-    _kernels.check_side(d - d // 2)
+def _check_cap(r: int, max_r: int | None):
+    """Refuse a census over r signs above max_r, if given, or the join cap."""
+    if max_r is not None and r > max_r:
+        raise TooLarge(f"r = {r} exceeds census cap {max_r}")
+    _kernels.check_side(r - r // 2)
 
 
 def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
@@ -126,7 +127,7 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
     census_shard does, and every shard must count exactly its range.
     threads is accepted and ignored: the join runs in numpy.
     """
-    _check_cap("r", ctx.r, max_r)
+    _check_cap(ctx.r, max_r)
     r = ctx.r
     total = 1 << r
     shards = max(1, min(shards, total))
@@ -146,7 +147,7 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
 def census_shard(ctx: FieldCtx, index: int, count: int,
                  max_r: int | None = None) -> DegreeHistogram:
     """Degree histogram of shard index of count, as full_census splits it."""
-    _check_cap("r", ctx.r, max_r)
+    _check_cap(ctx.r, max_r)
     lo, hi = _kernels.shard_range(ctx.r, index, count)
     tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
     hist = _kernels.range_hist(tables, ctx.p, lo, hi)
@@ -179,18 +180,17 @@ def _check_family_divisor(ctx: FieldCtx, d: int):
         raise InvalidDivisor(f"r/d = {ctx.r // d} must be odd")
 
 
-def family_census(ctx: FieldCtx, d: int,
-                  max_r: int | None = None) -> DegreeHistogram:
+def family_census(ctx: FieldCtx, d: int) -> DegreeHistogram:
     """Degree histogram over the 2^d block-sign choices of the order-d family.
 
     Orthogonality puts all nonzero coefficients in one residue class mod
     D, so only d coefficients c_{k_t} need computing, and
     c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  Their columns go in
     ascending degree, so the join's top column is the highest degree.
-    d is capped like r in full_census.
+    d is capped by the join cap, as r in full_census.
     """
     _check_family_divisor(ctx, d)
-    _check_cap("d", d, max_r)
+    _kernels.check_side(d - d // 2)
     p = ctx.p
     degs = family_admissible_degrees(ctx, d)[::-1]  # ascending
     exps = (1 - 2 * np.asarray(degs, dtype=np.int64)) % (p - 1)
@@ -208,15 +208,16 @@ def family_census(ctx: FieldCtx, d: int,
 def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
     """Sign words (set bit: -1) whose half sums at every ell in ells vanish.
 
-    The half tables carry one column sum_n eps_n gamma^(n ell) per ell; a
-    word vanishes exactly when its A and -B rows agree on all of them.
+    The half tables carry one column sum_n eps_n gamma^(n ell) per ell,
+    negated in B; a word vanishes exactly when its A and B rows agree on
+    all of them.
     """
     p, r = ctx.p, ctx.r
     _kernels.check_side(r - r // 2)
     w = _modmat.power_block(ctx, np.arange(r, dtype=np.int64),
                             np.asarray(ells, dtype=np.int64) % (p - 1))
     a, b, half = _kernels.half_tables(w, p)
-    order, src, lcp = _kernels.join_sort(a, _kernels.negated(b, p), p)
+    order, src, lcp = _kernels.join_sort(a, b, p)
     runs = _kernels.scan_runs(lcp, src, len(ells))
     lows, highs = _kernels.run_pairs(order, src, runs)
     return lows | highs << half

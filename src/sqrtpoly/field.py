@@ -104,9 +104,6 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
-    def pow_gamma(self, e: int) -> int:
-        return pow(self.gamma, e % (self.p - 1), self.p)
-
     @cached_property
     def gamma_powers(self):
         """numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).

@@ -142,13 +142,14 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
     """#{eps in E_d : H_{d,ell}(eps) = 0}, exact, by a one-column join.
 
     With w = zeta^ell for the canonical primitive 2d-th root zeta,
-    H = A(low signs) + B(high signs) for the half sums A, B of eps_n w^n,
-    so the count is the number of pairs with A = -B: the census join over
-    one column, whose hist[0] counts the vanishing sums.  shard = (index,
-    total) restricts to the Gray-code indices [2^d index // total,
-    2^d (index+1) // total); slices sum to the full count.  Another
-    primitive root zeta^e is the canonical one at ell * e.  A join side
-    past the join cap (d > 52) is refused with TooLarge.
+    H = A(low signs) - B(high signs) for the half sums A and -B of
+    eps_n w^n (_kernels.half_tables), so the count is the number of pairs
+    with A = B: the census join over one column, whose hist[0] counts the
+    vanishing sums.  shard = (index, total) restricts to the Gray-code
+    indices [2^d index // total, 2^d (index+1) // total); slices sum to
+    the full count.  Another primitive root zeta^e is the canonical one
+    at ell * e.  A join side past the join cap (d > 52) is refused with
+    TooLarge.
     """
     _kernels.check_side(d - d // 2)
     p = ctx.p

@@ -30,9 +30,6 @@ class Poly:
                 return k
         return NEG_INF
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ctx.p == self.ctx.p
                 and other.coeffs == self.coeffs)

@@ -116,13 +116,12 @@ def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
 
 
 def minimal_search(ctx: FieldCtx,
-                   keep_representatives: int | None = 16,
-                   pair_cap: int = DEFAULT_PAIR_CAP) -> SearchReport:
+                   keep_representatives: int | None = 16) -> SearchReport:
     """Find the minimal degree over all of F and all its attainers.
 
     p = 3 mod 4 is delegated to min_degree_direct (single block, monomial
-    answer).  keep_representatives=None keeps every minimizer (subject
-    to pair_cap).
+    answer).  keep_representatives=None keeps every minimizer, up to
+    DEFAULT_PAIR_CAP.
     """
     if ctx.p % 4 == 3:
         return min_degree_direct(ctx)
@@ -153,9 +152,9 @@ def minimal_search(ctx: FieldCtx,
     runs = _kernels.scan_runs(lcp, src, best)
     _, na, nb = runs
     minimizer_count = int(na @ nb)
-    count_only = minimizer_count > pair_cap
+    count_only = minimizer_count > DEFAULT_PAIR_CAP
 
-    want = keep_representatives if keep_representatives is not None else pair_cap
+    want = DEFAULT_PAIR_CAP if keep_representatives is None else keep_representatives
     a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
     marks.append(time.perf_counter())
     glued = poly.glue_rows(ctx, _kernels.pair_rows(fam_a, a_at, ctx.p),

@@ -218,20 +218,22 @@ def gray_walk_census(ctx, lo, hi):
     return hist
 
 
-def scan_runs_prefix_counts(lcp, src, levels):
-    """Z_j for j = 0..levels from join_sort's lcp and src, one scan_runs a level.
+def segment_prefix_counts(lcp, src, levels):
+    """Z_j for j = 0..levels from join_sort's lcp and src, one scan a level.
 
-    Z_j sums na * nb over the runs whose top j columns agree; at j = 0
-    every row is in one run.
+    The links lcp < j cut the sorted rows into segments whose top j
+    columns agree, and Z_j sums na * nb over them; at j = 0 every row is
+    in one segment.  The segments are read off the cuts, independently of
+    the library's runs.
     """
     import numpy as np
 
-    from sqrtpoly import _kernels
-
+    upto = np.concatenate(([0], np.cumsum(src, dtype=np.int64)))
     z = np.empty(levels + 1, dtype=np.int64)
     for j in range(levels + 1):
-        _, na, nb = _kernels.scan_runs(lcp, src, j)
-        z[j] = na @ nb
+        bounds = np.concatenate(([0], np.flatnonzero(lcp < j) + 1, [len(src)]))
+        nb = upto[bounds[1:]] - upto[bounds[:-1]]
+        z[j] = (np.diff(bounds) - nb) @ nb
     return z
 
 

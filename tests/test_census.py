@@ -11,7 +11,7 @@ from sqrtpoly.signs import SignVector, orbit_stats
 
 from .fixtures import ALL_COUNTS, TS_COUNTS
 from .helpers import (dense_family_census, dense_vanishing_words,
-                      gray_walk_census, scan_runs_prefix_counts)
+                      gray_walk_census, segment_prefix_counts)
 
 # p = 1 mod 4 at s = 2, 3, 4 and 5
 P_1_MOD_4 = (5, 13, 17, 29, 37, 41, 53, 61, 73)
@@ -209,15 +209,22 @@ def test_sign_pair_rows_are_the_sign_table(p):
             _kernels.sign_table(weights, p).tolist(), d
 
 
-def test_negated_stays_in_the_field():
+def test_half_tables_negate_the_high_half_in_the_field():
     # at p = 251 the tables are uint8, where -x would wrap round to 256 - x
     p = 251
-    x = np.arange(p, dtype=np.uint8)
-    neg, zero = _kernels.negated((x[:, None], x[:1, None]), p)
-    assert neg.dtype == np.uint8
-    assert neg[:, 0].tolist() == [(p - v) % p for v in range(p)]
-    assert neg[0, 0] == 0 and zero.tolist() == [[0]]
-    assert ((neg.astype(np.int64) + x[:, None]) % p == 0).all()
+    rng = np.random.default_rng(p)
+    weights = rng.integers(0, p, size=(9, 3), dtype=np.int64)
+    weights[5] = weights[4]
+    weights[6:, 0] = 0  # so high words 1 and 2 sum to 0 in column 0
+    a, b, half = _kernels.half_tables(weights, p)
+    assert half == 4 and a[0].dtype == b[0].dtype == np.uint8
+    words = np.arange(1 << 5)
+    high = _kernels.sign_table(weights[4:], p)
+    neg = _kernels.pair_rows(b, words, p).astype(np.int64)
+    assert neg.tolist() == (-high % p).tolist()
+    assert neg[[1, 2], 0].tolist() == [0, 0] and high[[1, 2], 0].tolist() == [0, 0]
+    assert _kernels.pair_rows(a, np.arange(1 << 4), p).astype(np.int64).tolist() == \
+        _kernels.sign_table(weights[:4], p).tolist()
 
 
 def _random_join(rng, n, levels, b_share):
@@ -232,9 +239,33 @@ def test_prefix_counts_matches_scan_runs_on_random_joins():
         n, levels = int(rng.integers(0, 50)), int(rng.integers(0, 7))
         lcp, src = _random_join(rng, n, levels, rng.choice([0.0, 0.3, 0.5, 1.0]))
         z = _kernels.prefix_counts(lcp, src, levels)
-        assert np.array_equal(z, scan_runs_prefix_counts(lcp, src, levels)), trial
+        assert np.array_equal(z, segment_prefix_counts(lcp, src, levels)), trial
         nb = int(src.sum())
         assert z[0] == (n - nb) * nb
+
+
+@pytest.mark.parametrize("n, block_rows", [
+    (0, None), (1, None), ((1 << 16) - 1, None), (1 << 16, None),
+    ((1 << 16) + 1, None), (60, 1), (60, 3)])
+def test_runs_are_the_chains_of_links(monkeypatch, n, block_rows):
+    # the runs of n links against their chains of links lcp >= j, found
+    # in all of lcp at once; _runs reads a block of _BLOCK_ROWS links at
+    # a time, 2^16 unless set here
+    if block_rows:
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(n)
+    lcp = rng.integers(0, 5, size=n).astype(np.uint8)
+    edge = _kernels._BLOCK_ROWS
+    lcp[edge - 3:edge + 3] = 4  # a run over the first block edge
+    for j in range(7):  # j = 0: one run over every row; j > 4: no run
+        links = np.flatnonzero(lcp >= j)
+        starts = links[np.diff(links, prepend=-2) != 1]
+        ends = links[np.diff(links, append=-1) != 1] + 2
+        got = _kernels._runs(lcp, j)
+        assert [x.tolist() for x in got] == [starts.tolist(), ends.tolist()], j
+    every = [[0], [n + 1]] if n else [[], []]
+    assert [x.tolist() for x in _kernels._runs(lcp, 0)] == every
+    assert [x.tolist() for x in _kernels._runs(lcp, 5)] == [[], []]
 
 
 @pytest.mark.parametrize("lcp, src, want", [
@@ -249,7 +280,7 @@ def test_prefix_counts_matches_scan_runs_on_random_joins():
 def test_prefix_counts_edge_cases(lcp, src, want):
     lcp, src = np.array(lcp, dtype=np.uint8), np.array(src, dtype=np.int8)
     assert _kernels.prefix_counts(lcp, src, 2).tolist() == want
-    assert scan_runs_prefix_counts(lcp, src, 2).tolist() == want
+    assert segment_prefix_counts(lcp, src, 2).tolist() == want
 
 
 @pytest.mark.parametrize("p", (13, 29, 41, 61))
@@ -259,11 +290,11 @@ def test_prefix_counts_matches_scan_runs_on_real_joins(p):
     _, src, lcp = _kernels.join_sort(*search._search_pairs(ctx), p)
     m = ctx.r // 2
     assert np.array_equal(_kernels.prefix_counts(lcp, src, m),
-                          scan_runs_prefix_counts(lcp, src, m))
+                          segment_prefix_counts(lcp, src, m))
     a, b, _ = _kernels.half_tables(census._coeff_weights(ctx), p)
-    _, src, lcp = _kernels.join_sort(a, _kernels.negated(b, p), p)
+    _, src, lcp = _kernels.join_sort(a, b, p)
     assert np.array_equal(_kernels.prefix_counts(lcp, src, ctx.r),
-                          scan_runs_prefix_counts(lcp, src, ctx.r))
+                          segment_prefix_counts(lcp, src, ctx.r))
 
 
 def test_census_cap():
@@ -319,9 +350,7 @@ def test_family_census_errors(ctx13):
 
 
 def test_family_census_cap(ctx41):
-    with pytest.raises(TooLarge):
-        family_census(ctx41, 4, max_r=3)
-    assert family_census(ctx41, 4, max_r=4).counts == TS_COUNTS[41]
+    assert family_census(ctx41, 4).counts == TS_COUNTS[41]
 
 
 def test_admissible_degrees(ctx29):

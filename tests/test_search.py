@@ -118,8 +118,9 @@ def test_group_scan_matches_naive_loop(p, keep):
     assert [f.coeffs for f in report.representatives] == reps
 
 
-def test_minimal_search_pair_cap(ctx41):
-    report = minimal_search(ctx41, keep_representatives=None, pair_cap=100)
+def test_minimal_search_pair_cap(monkeypatch, ctx41):
+    monkeypatch.setattr(search, "DEFAULT_PAIR_CAP", 100)
+    report = minimal_search(ctx41, keep_representatives=None)
     assert report.stats["count_only"]
     assert report.minimizer_count == 640
     assert len(report.representatives) == 100
