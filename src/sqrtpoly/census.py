@@ -13,17 +13,19 @@ and a shard, a range of Gray-code indices, joins sub-pairs of them, one
 join per aligned block of indices.
 
 The one size rule is the join cap: no side of a join may hold more than
-2^26 rows (r <= 52 in full_census, d <= 52 in family_census), and
-_kernels.check_side refuses a larger census before its weights or any
-table is built.  An explicit max_r refuses less than that; none is
+2^26 rows (r <= 52 in full_census and orbit_divisibility_check, d <= 52
+in family_census), and _kernels.check_side refuses a larger census
+before its weights or any table is built.  An explicit max_r refuses less than that; none is
 applied by default.
 
 full_census joins the r coefficients.  family_census joins the d
 coefficients that the alternating-periodic subfamily can reach:
 orthogonality leaves only one residue class of positions mod r/d.  The
 same join over one column counts vanishing half sums
-(fourier.count_vanishing_bruteforce), and over one column per ell it
-lists the joint vanishing set of orbit_divisibility_check.
+(fourier.count_vanishing_bruteforce), and over one column per ell and
+the d signs of an alternating family it counts the family's joint
+vanishing words, from which orbit_divisibility_check takes the class of
+each sigma-orbit order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import _kernels, _modmat
 from .errors import InvalidDivisor, SqrtPolyError, TooLarge, ValidationError
 from .field import FieldCtx
-from .signs import SignVector, orbit_stats
+from .signs import SignVector
 
 
 @dataclass
@@ -205,38 +207,40 @@ def family_census(ctx: FieldCtx, d: int) -> DegreeHistogram:
                                     "family": f"alt-{d}", "shards": 1})
 
 
-def _vanishing_words(ctx: FieldCtx, ells: list[int]) -> np.ndarray:
-    """Sign words (set bit: -1) whose half sums at every ell in ells vanish.
-
-    The half tables carry one column sum_n eps_n gamma^(n ell) per ell,
-    negated in B; a word vanishes exactly when its A and B rows agree on
-    all of them.
-    """
-    p, r = ctx.p, ctx.r
-    _kernels.check_side(r - r // 2)
-    w = _modmat.power_block(ctx, np.arange(r, dtype=np.int64),
-                            np.asarray(ells, dtype=np.int64) % (p - 1))
-    a, b, half = _kernels.half_tables(w, p)
-    order, src, lcp = _kernels.join_sort(a, b, p)
-    runs = _kernels.scan_runs(lcp, src, len(ells))
-    lows, highs = _kernels.run_pairs(order, src, runs)
-    return lows | highs << half
+def family_orders(r: int) -> list[int]:
+    """The orders d of the alternating families over r signs: d | r, r/d odd."""
+    return [d for d in range(1, r + 1) if r % d == 0 and (r // d) % 2]
 
 
-def orbit_divisibility_check(ctx: FieldCtx, ells: list[int],
-                             max_r: int = 24) -> tuple[bool, dict[int, int]]:
+def orbit_divisibility_check(ctx: FieldCtx,
+                             ells: list[int]) -> tuple[bool, dict[int, int]]:
     """Partition the joint vanishing set V_{r,K} by sigma-orbit order.
 
     Returns (every order divides its class size, {order: class size}).
+    A word is in the order-d family, eps_{dx+y} = (-1)^x h_y, exactly
+    when sigma^d(eps) = -eps, that is when its order divides 2d, and
+    every order is 2d for a family order d.  In that family H_ell(eps)
+    = G_ell * sum_{y<d} h_y gamma^(y ell), G_ell = sum_{x<r/d}
+    (-gamma^(d ell))^x, so its vanishing words are counted by one join
+    over d signs on the columns of the ell with G_ell != 0.  By Moebius
+    inversion, the class of order 2d is that count less the classes of
+    the orders 2e, e | d, e < d.
     """
-    r = ctx.r
-    if r > max_r:
-        raise TooLarge(f"r = {r} exceeds cap {max_r}")
+    p, r = ctx.p, ctx.r
     if not ells:
         raise ValidationError("orbit check needs at least one ell")
-    by_order: dict[int, int] = {}
-    for word in _vanishing_words(ctx, ells).tolist():
-        o = orbit_stats(SignVector(word, r)).order
-        by_order[o] = by_order.get(o, 0) + 1
+    _kernels.check_side(r - r // 2)  # the largest family, d = r
+    exact: dict[int, int] = {}
+    for d in family_orders(r):
+        keep = []
+        for ell in ells:
+            g = -pow(ctx.gamma, d * ell % (p - 1), p)
+            if sum(pow(g, x, p) for x in range(r // d)) % p:
+                keep.append(ell % (p - 1))
+        w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64),
+                                np.asarray(keep, dtype=np.int64))
+        vanish = int(_kernels.range_hist(_kernels.half_tables(w, p), p, 0, 1 << d)[0])
+        exact[d] = vanish - sum(n for e, n in exact.items() if d % e == 0)
+    by_order = {2 * d: n for d, n in exact.items() if n}
     ok = all(n % o == 0 for o, n in by_order.items())
     return ok, by_order

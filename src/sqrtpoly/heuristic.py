@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .census import family_admissible_degrees, _check_family_divisor
+from .census import _check_family_divisor, family_admissible_degrees, family_orders
 from .errors import LevelOutOfRange
 from .field import FieldCtx
 from .signs import family_size, family_size_reduced
@@ -158,9 +158,7 @@ def predicted_min_degree(ctx: FieldCtx) -> MinDegreePrediction:
     ts_b = r - (q - 1) // 2 - q * n_b
 
     per_family: dict[int, int] = {}
-    for d in range(1, r + 1):
-        if r % d or (r // d) % 2 == 0:
-            continue
+    for d in family_orders(r):
         big_d = r // d
         # floor((d - log2 d)/log2 p): largest n with d * p^n <= 2^d
         n = 0

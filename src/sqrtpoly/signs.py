@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from .errors import LengthMismatch, RangeOutOfBounds
+from .errors import LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class SignVector:
 
     def render(self) -> str:
         return "(" + ",".join("-" if s < 0 else "+" for s in self.signs()) + ")"
-
-    def hex_word(self) -> str:
-        return hex(self.bits)
 
     def __repr__(self):
         return f"SignVector{self.render()}"
@@ -136,25 +132,3 @@ def family_size(d: int) -> int:
 def family_size_reduced(d: int) -> Fraction:
     """N'(d) = N(d)/(2d), the per-orbit count, as an exact rational."""
     return Fraction(family_size(d), 2 * d)
-
-
-def enumerate_sign_vectors(d: int, start: int = 0, stop: int | None = None,
-                           gray: bool = False) -> Iterator[SignVector]:
-    """Deterministic stream over E_d, lexicographic by default.
-
-    Lexicographic order treats eps_0 as the most significant position
-    (all-plus first).  With gray=True, index i maps to the reflected
-    Gray code i ^ (i >> 1) on the raw bit word instead; successive
-    vectors then differ in exactly one position.
-    """
-    if stop is None:
-        stop = 1 << d
-    if not (0 <= start <= stop <= (1 << d)):
-        raise RangeOutOfBounds(f"[{start}, {stop}) not within [0, 2^{d})")
-    for i in range(start, stop):
-        if gray:
-            yield SignVector(i ^ (i >> 1), d)
-        else:
-            # reverse bit order so eps_0 is the most significant digit
-            w = int(format(i, f"0{d}b")[::-1], 2)
-            yield SignVector(w, d)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -376,18 +377,19 @@ def test_orbit_divisibility(ctx13):
     assert ok
     assert sum(by_order.values()) == fourier.count_vanishing_bruteforce(
         ctx13, ctx13.r, 1)
-    with pytest.raises(TooLarge):
-        census.orbit_divisibility_check(make_field_ctx(53), [1])
+    with pytest.raises(TooLarge, match="join cap"):  # r = 53
+        census.orbit_divisibility_check(make_field_ctx(107), [1])
     with pytest.raises(ValidationError):
         census.orbit_divisibility_check(ctx13, [])
 
 
 def test_orbit_divisibility_against_dense_oracle():
+    # at p = 29 each of these ells has G = 0 in the order-2 family, so
+    # that family's join has no column
     for p in (13, 29, 37):
         ctx = make_field_ctx(p)
         for ells in ([1], [1, 3], [5]):
             words = dense_vanishing_words(ctx, ells)
-            assert sorted(census._vanishing_words(ctx, ells).tolist()) == words
             want = {}
             for w in words:
                 o = orbit_stats(SignVector(w, ctx.r)).order
@@ -398,8 +400,8 @@ def test_orbit_divisibility_against_dense_oracle():
 
 
 def test_orbit_divisibility_joins_half_tables(monkeypatch):
-    # r = 23: the 2^11 low and 2^12 high rows are joined, and nothing of
-    # 2^23 rows is built
+    # r = 23: one join per family order d in (1, 23), the largest of the
+    # 2^11 low and 2^12 high rows, and nothing of 2^23 rows is built
     ctx = make_field_ctx(47)
     joined = []
     real = census._kernels.join_sort
@@ -410,13 +412,28 @@ def test_orbit_divisibility_joins_half_tables(monkeypatch):
 
     monkeypatch.setattr(census._kernels, "join_sort", spy)
     census.orbit_divisibility_check(ctx, [1, 3])
-    assert joined == [(1 << 11, 1 << 12)]
-    words = census._vanishing_words(ctx, [1, 3]).tolist()
-    assert len(words) == len(set(words)) > 0
-    specs = [fourier.half_sum_spec(ctx, ctx.r, ell) for ell in (1, 3)]
-    for w in words:
-        eps = SignVector(w, ctx.r)
-        assert all(fourier.half_sum(spec, eps, ctx.p) == 0 for spec in specs), w
+    assert census.family_orders(ctx.r) == [1, 23]
+    assert joined == [(1, 2), (1 << 11, 1 << 12)]
+
+
+def test_orbit_divisibility_past_the_old_cap():
+    # every vanishing word is counted once, in a class of order 2d for a
+    # family order d
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        ctx = make_field_ctx(p)
+        orders = {2 * d for d in census.family_orders(ctx.r)}
+        for ell in range(1, p - 1, 2):
+            if math.gcd(ell, p - 1) != 1:
+                continue
+            ok, by_order = census.orbit_divisibility_check(ctx, [ell])
+            assert sum(by_order.values()) == fourier.count_vanishing_formula(ctx, ell)
+            assert set(by_order) <= orders, (p, ell)
+
+
+def test_family_orders():
+    assert census.family_orders(1) == [1]
+    assert census.family_orders(12) == [4, 12]
+    assert census.family_orders(45) == [1, 3, 5, 9, 15, 45]
 
 
 def test_shard_drift_detector(monkeypatch, ctx13):

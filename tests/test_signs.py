@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from sqrtpoly import signs
-from sqrtpoly.errors import LengthMismatch, RangeOutOfBounds
+from sqrtpoly.errors import LengthMismatch
 from sqrtpoly.signs import (SignVector, alternating_order_structural,
-                            enumerate_sign_vectors, family_size,
-                            family_size_reduced, flip_shift, from_signs,
-                            orbit_stats)
+                            family_size, family_size_reduced, flip_shift,
+                            from_signs, orbit_stats)
 
 from .helpers import naive_flip_shift
 
@@ -27,7 +26,6 @@ def test_from_signs_roundtrip():
 def test_render():
     assert from_signs([1, -1, 1]).render() == "(+,-,+)"
     assert SignVector(0, 4).render() == "(+,+,+,+)"
-    assert SignVector(0b101, 3).hex_word() == "0x5"
 
 
 def test_flip_shift_against_oracle():
@@ -87,41 +85,6 @@ def test_family_size_reduced():
     assert family_size_reduced(4) == Fraction(12, 8)
     for d in (1, 2, 3, 5, 8):
         assert family_size_reduced(d) * 2 * d == family_size(d)
-
-
-def test_enumerate_lexicographic():
-    got = [eps.render() for eps in enumerate_sign_vectors(2)]
-    assert got == ["(+,+)", "(+,-)", "(-,+)", "(-,-)"]
-    # first entry is always all-plus; last is all-minus
-    first = next(enumerate_sign_vectors(9))
-    assert first.bits == 0
-    last = list(enumerate_sign_vectors(5, start=31))[0]
-    assert last.bits == 31
-
-
-def test_enumerate_gray():
-    seen = set()
-    prev = None
-    for eps in enumerate_sign_vectors(8, gray=True):
-        seen.add(eps.bits)
-        if prev is not None:
-            diff = prev ^ eps.bits
-            assert diff and diff & (diff - 1) == 0  # exactly one bit flips
-        prev = eps.bits
-    assert len(seen) == 256
-
-
-def test_enumerate_sharding():
-    full = [eps.bits for eps in enumerate_sign_vectors(6)]
-    parts = []
-    for i in range(3):
-        lo, hi = 64 * i // 3, 64 * (i + 1) // 3
-        parts.extend(eps.bits for eps in enumerate_sign_vectors(6, lo, hi))
-    assert parts == full
-    with pytest.raises(RangeOutOfBounds):
-        list(enumerate_sign_vectors(4, 0, 17))
-    with pytest.raises(RangeOutOfBounds):
-        list(enumerate_sign_vectors(4, -1, 4))
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 64, 2000])
