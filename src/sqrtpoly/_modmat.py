@@ -17,9 +17,19 @@ Products go through matmul_mod: float64 BLAS when every partial sum
 stays below 2^53, where doubles are exact, and Python integers
 otherwise.  A large prime factor of L (Bluestein's case) stays a dense
 leaf.
+The power tables, each split's twiddle block gamma^(e n1 k1) and each
+leaf's block, depend on p and their exponents alone, so _TABLES keeps
+them for the next call, keyed on (p, rows, cols) of power_block and
+never on a context object or a plan: a table is built once per process,
+not once per call.  Only tables of at most _BLOCK_ENTRIES entries are
+kept, _CACHE_BYTES = 32 MiB in all, least recently used dropped first,
+and every kept table is read-only.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +46,7 @@ _TABLE_COST = 256
 _LEVEL_COST = 1024
 _SPLIT_COST = 1 << 20
 _NARROW = 8  # at most this many columns: test a tall array column by column
+_CACHE_BYTES = 1 << 25  # power tables kept for reuse, 32 MiB in all
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -74,28 +85,69 @@ def power_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return ctx.gamma_powers[idx]
 
 
+class _TableCache:
+    """Read-only power tables by (p, rows, cols), least recently used first.
+
+    gamma is the least primitive root of p, so a table depends on p and
+    not on the context: a fresh context of the same p finds the tables
+    of the last one.
+    """
+
+    def __init__(self):
+        self.tables: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def clear(self):
+        self.tables.clear()
+        self.nbytes = 0
+
+    def get(self, ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """power_block(ctx, rows, cols), built only when not kept already."""
+        if rows.size * cols.size > _BLOCK_ENTRIES:
+            return power_block(ctx, rows, cols)
+        key = (ctx.p, rows.astype(np.int64, copy=False).tobytes(),
+               cols.astype(np.int64, copy=False).tobytes())
+        table = self.tables.get(key)
+        if table is not None:
+            self.tables.move_to_end(key)
+            return table
+        table = power_block(ctx, rows, cols)
+        table.flags.writeable = False
+        self.tables[key] = table
+        self.nbytes += table.nbytes
+        while self.nbytes > _CACHE_BYTES:
+            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
+        return table
+
+
+_TABLES = _TableCache()
+
+
 def power_sums(ctx, rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """out[i, k] = sum_n rows[i, n] * gamma^(n * exps[k]) mod p, in [0, p).
 
     rows: (m, width) integers; a 1-d row is taken as one row.  Columns n
     that are zero in every row add nothing, so the power table has a row
     only for the others, and it is built for as many exps at a time as
-    keep it within _BLOCK_ENTRIES entries.
+    keep it within _BLOCK_ENTRIES entries, once per process by _TABLES.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     exps = np.asarray(exps, dtype=np.int64)
     ns = np.flatnonzero(_used_columns(rows))
-    out = np.zeros((rows.shape[0], len(exps)), dtype=np.int64)
     if not len(ns):
-        return out
-    used = rows[:, ns]
+        return np.zeros((rows.shape[0], len(exps)), dtype=np.int64)
+    used = rows if len(ns) == rows.shape[1] else rows[:, ns]
     step = max(1, _BLOCK_ENTRIES // len(ns))
+    if step >= len(exps):
+        return matmul_mod(used, _TABLES.get(ctx, ns, exps), ctx.p)
+    out = np.empty((rows.shape[0], len(exps)), dtype=np.int64)
     for lo in range(0, len(exps), step):
-        table = power_block(ctx, ns, exps[lo:lo + step])
+        table = _TABLES.get(ctx, ns, exps[lo:lo + step])
         out[:, lo:lo + step] = matmul_mod(used, table, ctx.p)
     return out
 
 
+@lru_cache(maxsize=1024)
 def _split(length: int) -> tuple[int, int] | None:
     """(a, b) with a * b = length and a the largest divisor with a^2 <= length.
 
@@ -141,7 +193,7 @@ def _ntt(ctx, rows: np.ndarray, e: int, plan: dict) -> np.ndarray:
     # sub-rows, twiddles gamma^(e n1 k1), then a-point transforms
     sub = rows.reshape(m, b, a).transpose(0, 2, 1).reshape(m * a, b)
     y = _ntt(ctx, sub, e * a % (p - 1), plan).reshape(m, a, b)
-    y = y * power_block(ctx, np.arange(a, dtype=np.int64),
+    y = y * _TABLES.get(ctx, np.arange(a, dtype=np.int64),
                         e * np.arange(b, dtype=np.int64) % (p - 1)) % p
     z = _ntt(ctx, y.transpose(0, 2, 1).reshape(m * b, a), e * b % (p - 1), plan)
     return z.reshape(m, b, a).transpose(0, 2, 1).reshape(m, length)

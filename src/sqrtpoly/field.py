@@ -176,5 +176,6 @@ def canonical_sqrt(ctx: FieldCtx, a: int) -> int:
     if legendre(a, ctx) != 1:
         raise NotAResidue(f"{a} is not a quadratic residue mod {ctx.p}")
     n = ctx.dlog(a)
-    assert n % 2 == 0
+    if n % 2:
+        raise NotAResidue(f"{a} = gamma^{n} has an odd discrete log mod {ctx.p}")
     return pow(ctx.gamma, (n // 2) % ctx.r, ctx.p)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _modmat
 from .errors import (ContextMismatch, DegreeTooLarge, EqualInputsCancellation,
-                     LevelOutOfRange, SqrtPolyError, WrongPartCount)
+                     LengthMismatch, LevelOutOfRange, SqrtPolyError, WrongPartCount)
 from .field import FieldCtx
 
 #: degree of the zero polynomial; compares below every real degree
@@ -21,7 +21,8 @@ class Poly:
     coeffs: list[int]  # dense, length exactly r
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.ctx.r
+        if len(self.coeffs) != self.ctx.r:
+            raise LengthMismatch(f"{len(self.coeffs)} coefficients but r = {self.ctx.r}")
 
     @property
     def degree(self):
@@ -89,29 +90,6 @@ def sub(a: Poly, b: Poly) -> Poly:
     _same_ctx(a, b)
     p = a.ctx.p
     return Poly(a.ctx, [(x - y) % p for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def scalar_mul(c: int, a: Poly) -> Poly:
-    p = a.ctx.p
-    c %= p
-    return Poly(a.ctx, [c * x % p for x in a.coeffs])
-
-
-def mul_cyclic(a: Poly, b: Poly) -> Poly:
-    """Schoolbook product with exponents reduced mod r.  O(r^2) on purpose."""
-    _same_ctx(a, b)
-    p, r = a.ctx.p, a.ctx.r
-    out = [0] * r
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                k = i + j
-                if k >= r:
-                    k -= r
-                out[k] = (out[k] + x * y) % p
-    return Poly(a.ctx, out)
 
 
 def eval_poly(f: Poly, a: int) -> int:

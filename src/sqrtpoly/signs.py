@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, RangeOutOfBounds, SqrtPolyError
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,9 @@ class SignVector:
     d: int
 
     def __post_init__(self):
-        assert self.d >= 1 and 0 <= self.bits < (1 << self.d)
+        if not (self.d >= 1 and 0 <= self.bits < (1 << self.d)):
+            raise RangeOutOfBounds(f"need d >= 1 and 0 <= bits < 2^d, got "
+                                   f"d = {self.d}, bits = {self.bits}")
 
     def sign(self, n: int) -> int:
         return -1 if (self.bits >> n) & 1 else 1
@@ -79,7 +81,8 @@ def orbit_stats(eps: SignVector) -> OrbitStats:
     for n in range(1, 2 * d + 1):
         cur = flip_shift(cur, 1)
         if cur.bits == eps.bits:
-            assert n % 2 == 0
+            if n % 2:
+                raise SqrtPolyError(f"sigma^{n} fixes {eps}, an odd order")
             return OrbitStats(order=n, alt_order=n // 2, orbit_size=n)
     raise AssertionError("sigma^(2d) must fix eps")  # pragma: no cover
 
@@ -125,7 +128,8 @@ def family_size(d: int) -> int:
     different quantity from the 2^d block-sign choices of a d-block
     family; see ts.block_choice_count for that one.
     """
-    assert d >= 1
+    if d < 1:
+        raise RangeOutOfBounds(f"family size needs d >= 1, got d = {d}")
     return (1 << d) - sum(family_size(ell) for ell in _divisors(d) if ell < d)
 
 

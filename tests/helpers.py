@@ -29,6 +29,34 @@ def lagrange_interpolate(p, points):
     return coeffs
 
 
+def scalar_mul(c, a):
+    """The polynomial c * a, coefficient by coefficient."""
+    from sqrtpoly.poly import Poly
+
+    p = a.ctx.p
+    c %= p
+    return Poly(a.ctx, [c * x % p for x in a.coeffs])
+
+
+def mul_cyclic(a, b):
+    """Schoolbook product with exponents reduced mod r.  O(r^2) on purpose."""
+    from sqrtpoly.poly import Poly, _same_ctx
+
+    _same_ctx(a, b)
+    p, r = a.ctx.p, a.ctx.r
+    out = [0] * r
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y:
+                k = i + j
+                if k >= r:
+                    k -= r
+                out[k] = (out[k] + x * y) % p
+    return Poly(a.ctx, out)
+
+
 def naive_half_sum(p, zeta, ell, signs):
     """sum_n eps_n zeta^(n*ell) mod p by direct powering."""
     return sum(s * pow(zeta, (n * ell) % (p - 1), p)

@@ -78,6 +78,14 @@ def test_root_of_unity():
         assert all(pow(z, k, 13) != 1 for k in range(1, m))
 
 
+def test_canonical_sqrt_refuses_an_odd_discrete_log(monkeypatch):
+    # a residue has an even discrete log; a dlog that says otherwise raises
+    ctx = make_field_ctx(13)
+    monkeypatch.setattr(ctx, "dlog", lambda a: 3)
+    with pytest.raises(NotAResidue):
+        canonical_sqrt(ctx, 4)
+
+
 def test_canonical_sqrt():
     assert canonical_sqrt(make_field_ctx(7), 4) == 2  # 4 = 3^4, branch 3^2
     ctx = make_field_ctx(13)

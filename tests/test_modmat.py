@@ -1,11 +1,20 @@
+import random
+
 import numpy as np
 
 import pytest
 
-from sqrtpoly import _modmat, make_field_ctx, search
+from sqrtpoly import _modmat, fourier, make_field_ctx, poly, search
 from sqrtpoly._modmat import matmul_mod, ntt, power_sums
 from sqrtpoly.errors import OrderDoesNotDivide, TooLarge
-from sqrtpoly.field import prime_factors
+from sqrtpoly.field import FieldCtx, prime_factors
+from sqrtpoly.signs import SignVector
+
+
+@pytest.fixture
+def no_tables():
+    """An empty table cache, so that a test sees every table it needs built."""
+    _modmat._TABLES.clear()
 
 
 def test_matmul_mod_exact_past_int64():
@@ -37,7 +46,7 @@ def test_power_sums_zero_rows_build_no_table(monkeypatch, ctx41):
     assert got.tolist() == [[0] * 7] * 2 and got.dtype == np.int64
 
 
-def test_power_sums_single_column(monkeypatch, ctx41):
+def test_power_sums_single_column(monkeypatch, ctx41, no_tables):
     built = []
     power_block = _modmat.power_block
     monkeypatch.setattr(_modmat, "power_block",
@@ -185,7 +194,7 @@ def test_ntt_refuses_a_prime_whose_products_overflow_int64(splits):
         ntt(ctx, np.ones((1, 30), dtype=np.int64), (ctx.p - 1) // 30)
 
 
-def test_monomial_check_builds_one_table_row(monkeypatch):
+def test_monomial_check_builds_one_table_row(monkeypatch, no_tables):
     ctx = make_field_ctx(1000003)
     sizes = []
     power_block = _modmat.power_block
@@ -194,3 +203,69 @@ def test_monomial_check_builds_one_table_row(monkeypatch):
                         or power_block(ctx, rows, cols))
     assert search.min_degree_direct(ctx).min_degree == (ctx.p + 1) // 4
     assert sizes and max(sizes) <= ctx.r
+
+
+def test_warm_tables_serve_only_their_own_prime():
+    # the primes take turns, twice over, so a table kept for one prime
+    # would meet the others' calls; the naive sums are checked at sampled k
+    ctxs = [make_field_ctx(p) for p in (13, 41, 1009, 4001)]
+    for _ in range(2):
+        for ctx in ctxs:
+            for e in (2, -2):
+                rows = _dense_rows(ctx, ctx.r, ctx.p + e)
+                ks = np.unique(np.r_[0, 1, ctx.r - 1, np.random.default_rng(
+                    ctx.p).integers(0, ctx.r, min(ctx.r, 12))])
+                got = ntt(ctx, rows, e)
+                assert np.array_equal(got, power_sums(ctx, rows, e * np.arange(ctx.r)))
+                assert got[:, ks].tolist() == _naive_power_sums(ctx, rows, e * ks)
+                # one row and one set of exps at every prime: only p sets them apart
+                row, exps = np.arange(1, 7), e * np.arange(6)
+                assert (power_sums(ctx, row, exps).tolist()
+                        == _naive_power_sums(ctx, [row], exps))
+
+
+def test_fresh_contexts_of_one_prime_share_their_tables(monkeypatch, no_tables):
+    rows = _dense_rows(make_field_ctx(4001), 2000, 8)
+    first = ntt(FieldCtx(4001), rows, 2)
+
+    def no_table(*args):
+        raise AssertionError("a table of p = 4001 built twice")
+
+    monkeypatch.setattr(_modmat, "power_block", no_table)
+    assert np.array_equal(ntt(FieldCtx(4001), rows, 2), first)
+
+
+def test_tables_past_the_block_size_are_not_kept(monkeypatch, ctx41, no_tables):
+    monkeypatch.setattr(_modmat, "_BLOCK_ENTRIES", 11)
+    rows, cols = np.arange(3), np.arange(4)
+    table = _modmat._TABLES.get(ctx41, rows, cols)
+    assert np.array_equal(table, _modmat.power_block(ctx41, rows, cols))
+    assert not _modmat._TABLES.tables and _modmat._TABLES.nbytes == 0
+
+
+def test_cached_tables_are_read_only(ctx41):
+    table = _modmat._TABLES.get(ctx41, np.arange(4), np.arange(6))
+    with pytest.raises(ValueError):
+        table[0, 0] = 2
+    assert table[0, 0] == 1
+
+
+@pytest.mark.parametrize("bound", [None, 1 << 22])
+def test_cache_stays_within_its_bound(monkeypatch, no_tables, bound):
+    # round trips at r = 2^15 and 3 * 2^17; a 4 MiB bound makes the
+    # second prime's tables push out the first's
+    if bound is not None:
+        monkeypatch.setattr(_modmat, "_CACHE_BYTES", bound)
+    for p in (65537, 786433):
+        ctx = make_field_ctx(p)
+        eps = SignVector(random.Random(p).getrandbits(ctx.r), ctx.r)
+        f = fourier.coeffs_from_signs(ctx, eps)
+        assert poly.is_sqrt_poly(ctx, f)
+        assert fourier.signs_from_poly(ctx, f) == eps
+    tables = list(_modmat._TABLES.tables.values())
+    assert tables
+    assert _modmat._TABLES.nbytes == sum(t.nbytes for t in tables)
+    assert _modmat._TABLES.nbytes <= _modmat._CACHE_BYTES
+    assert max(t.size for t in tables) <= _modmat._BLOCK_ENTRIES
+    if bound is not None:
+        assert {key[0] for key in _modmat._TABLES.tables} == {786433}

@@ -6,16 +6,17 @@ import pytest
 from sqrtpoly import fourier, make_field_ctx, poly, ts
 from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import (ContextMismatch, DegreeTooLarge,
-                             EqualInputsCancellation, LevelOutOfRange,
-                             NotASqrtPoly, SqrtPolyError, WrongPartCount)
+                             EqualInputsCancellation, LengthMismatch,
+                             LevelOutOfRange, NotASqrtPoly, SqrtPolyError,
+                             WrongPartCount)
 from sqrtpoly.poly import (NEG_INF, add, eval_poly, from_coeffs, glue_crt,
-                           glue_pair, glue_rows, is_sqrt_poly, monomial,
-                           mul_cyclic, scalar_mul, sub)
+                           glue_pair, glue_rows, is_sqrt_poly, monomial, sub)
 from sqrtpoly.signs import SignVector
 
 from .fixtures import (P41_GLUE_HALF_0, P41_GLUE_HALF_1, P41_GLUE_PARTS,
                        P41_GLUE_RESULT, P41_MINIMAL, P41_TS_TABLE)
-from .helpers import glue_all, naive_glue_crt, naive_is_sqrt_poly
+from .helpers import (glue_all, mul_cyclic, naive_glue_crt, naive_is_sqrt_poly,
+                      scalar_mul)
 
 
 def sparse_poly(ctx, d):
@@ -37,6 +38,12 @@ def test_from_coeffs_normalizes(ctx13):
     assert len(f.coeffs) == ctx13.r
     with pytest.raises(DegreeTooLarge):
         from_coeffs(ctx13, [1] * (ctx13.r + 1))
+
+
+def test_poly_of_wrong_length_is_refused(ctx13):
+    for coeffs in ([1, 2], [0] * (ctx13.r + 1)):
+        with pytest.raises(LengthMismatch):
+            poly.Poly(ctx13, coeffs)
 
 
 def test_render(ctx41):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sqrtpoly import signs
-from sqrtpoly.errors import LengthMismatch
+from sqrtpoly.errors import LengthMismatch, RangeOutOfBounds, SqrtPolyError
 from sqrtpoly.signs import (SignVector, alternating_order_structural,
                             family_size, family_size_reduced, flip_shift,
                             from_signs, orbit_stats)
@@ -21,6 +21,12 @@ def test_from_signs_roundtrip():
     assert (-eps).signs() == [-s for s in seq]
     with pytest.raises(LengthMismatch):
         from_signs([1, 0, -1])
+
+
+@pytest.mark.parametrize("bits, d", [(8, 3), (-1, 3), (0, 0), (0, -2)])
+def test_sign_vector_out_of_range_is_refused(bits, d):
+    with pytest.raises(RangeOutOfBounds):
+        SignVector(bits, d)
 
 
 def test_render():
@@ -63,6 +69,14 @@ def test_orbit_order_divides_2d():
             assert (2 * d) % orbit_stats(SignVector(w, d)).order == 0
 
 
+def test_orbit_stats_refuses_an_odd_order(monkeypatch):
+    # sigma has even order on every sign vector; a broken shift that fixes
+    # eps after one step must raise, not return a half order
+    monkeypatch.setattr(signs, "flip_shift", lambda eps, n=1: eps)
+    with pytest.raises(SqrtPolyError):
+        orbit_stats(from_signs([1, -1, 1]))
+
+
 def test_structural_order_matches_orbit():
     # the least-divisor characterization and the sigma-orbit computation
     # must produce the same alternating order
@@ -74,6 +88,12 @@ def test_structural_order_matches_orbit():
 
 def test_family_size_values():
     assert [family_size(d) for d in range(1, 7)] == [2, 2, 6, 12, 30, 54]
+
+
+def test_family_size_refuses_d_below_one():
+    for d in (0, -3):
+        with pytest.raises(RangeOutOfBounds):
+            family_size(d)
 
 
 def test_family_size_partition():
