@@ -13,9 +13,10 @@ A prime length, or rows for which a split is estimated to cost more
 once), is a leaf: power_sums, the table route, sums sum_n rows[i, n] *
 gamma^(n * exps[k]) from a table (power_block) built only for the
 columns some row uses, a block of exps at a time.
-Products go through matmul_mod: float64 BLAS when every partial sum
-stays below 2^53, where doubles are exact, and Python integers
-otherwise.  A large prime factor of L (Bluestein's case) stays a dense
+Products go through matmul_mod: float64 BLAS over chunks of the inner
+dimension in which every partial sum stays below 2^53, where doubles are
+exact, and Python integers only when one product of two entries reaches
+2^53.  A large prime factor of L (Bluestein's case) stays a dense
 leaf.
 The power tables, each split's twiddle block gamma^(e n1 k1) and each
 leaf's block, depend on p and their exponents alone, so _TABLES keeps
@@ -52,18 +53,24 @@ _CACHE_BYTES = 1 << 25  # power tables kept for reuse, 32 MiB in all
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p, exact, for int64 matrices and p < 2^63.
 
-    float64 BLAS when amax * bmax * inner < 2^53 bounds every partial
-    sum; else Python integers, which cannot wrap.
+    float64 BLAS over chunks of the inner dimension short enough that
+    amax * bmax * chunk < 2^53 bounds every partial sum, each chunk's
+    product reduced mod p and the chunks summed mod p in int64; Python
+    integers, which cannot wrap, only when amax * bmax alone reaches 2^53.
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
-    inner = a.shape[-1]
     amax = int(np.abs(a).max(initial=0))
     bmax = int(np.abs(b).max(initial=0))
-    if amax * bmax * inner < _EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % p
-    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+    if amax * bmax >= _EXACT:
+        return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+    step = ((1 << 53) - 1) // max(amax * bmax, 1)
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    out = (a[..., :step] @ b[:step]).astype(np.int64) % p
+    for lo in range(step, a.shape[-1], step):
+        out += (a[..., lo:lo + step] @ b[lo:lo + step]).astype(np.int64) % p - p
+        out[out < 0] += p  # the sum of two residues, less p, without wrapping
+    return out
 
 
 def _used_columns(rows: np.ndarray) -> np.ndarray:

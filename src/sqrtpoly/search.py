@@ -2,9 +2,8 @@
 
 Every f on S splits uniquely as a pair (f_0, f_1) of halves on the two
 level-(s-2) blocks, and deg f = M + deg(f_0 - f_1), so the minimum is
-found by sorting the coefficient vectors of both 2^((p-1)/4)-member
-families together, highest degree first, and matching the longest
-cross-family common prefix.  Total work O(p * 2^((p-1)/4)).
+found by matching, highest degree first, the longest common prefix of a
+member of each of the two 2^m-member families, m = (p-1)/4.
 
 A family is the sign_table of its M_k x M_k weights, as a census is: at
 level 0 fourier.subgroup_weights, above it the partner's weights glued
@@ -12,15 +11,28 @@ as 0 with them and the child's glued with 0, since poly.glue_rows is
 linear.  It is held as the sign_pair (P, Q) of its weights, of about
 2^((p-1)/8) rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p.
 A block shift scales columns, so the second family is the first pair
-scaled.  The join sorts one uint64 key per member, packed straight from
-the pairs: its top coefficients above its index.  Members that tie on
-those coefficients are the only ones built as rows, for the tie pass, and
-the representatives the only ones glued.  A family of more than 2^26
-members (m > 26, p > 101) is refused by _kernels.check_side.
+scaled.
+
+Two members share a prefix only if they share their top coefficient, so
+the pairs fall into p buckets by top value (Howgrave-Graham and Joux).
+An even block shift maps each family onto itself, multiplying column k
+of both by the same gamma^(i(1-2k)): it keeps every pair's prefix and
+multiplies the top value by gamma^(i(3-2m)), so the nonzero top values
+fall into g = 2 gcd(m, 3) orbits of buckets with the same pairs.  Only
+bucket 0 and one bucket of each orbit are joined, a few per cent of the
+members, gathered as rows from the pairs and sorted by
+_kernels.join_sort; a run at the best prefix counts once in bucket 0 and
+(p-1)/g times elsewhere, and the representatives are listed from the
+joined buckets, shifted.  When no pair shares its top coefficient
+(p = 5, 13), all 4^m pairs attain the minimum, read off the two families
+sorted whole.  check_side refuses a join side of more than 2^26 rows
+before it is gathered: the search reaches p = 113, and refuses p = 137
+from m alone, before any table is built.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +47,7 @@ from .ts import shift_scales
 
 DEFAULT_PAIR_CAP = 10 ** 6
 # minimal_search's stages, timed in SearchReport.stats["stage_seconds"]
-_STAGES = ("half_tables", "keys", "sort", "run_scan", "glue")
+_STAGES = ("half_tables", "buckets", "keys", "sort", "run_scan", "glue")
 
 
 @dataclass
@@ -108,11 +120,109 @@ def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
     Each family has 2^m members, m = (p-1)/4.  The shift scales every
     column of every member, so it scales both tables of the first pair.
     """
-    m = (ctx.p - 1) // 4
-    _kernels.check_side(m)
     fam_a = _kernels.sign_pair(_family_weights(ctx, ctx.s - 2), ctx.p)
-    scales = shift_scales(ctx, 1, m)
+    scales = shift_scales(ctx, 1, (ctx.p - 1) // 4)
     return fam_a, tuple((t * scales % ctx.p).astype(t.dtype) for t in fam_a)
+
+
+def _top_orbits(m: int) -> int:
+    """g = 2 gcd(m, 3): how many orbits the even block shifts make of the top values.
+
+    Shift i multiplies column k of both families by gamma^(i(1 - 2k)),
+    and so the top value by gamma^(i(3 - 2m)).  For even i these factors
+    form the subgroup of index gcd(4m, 2(3 - 2m)) = 2 gcd(m, 3) of F_p^*,
+    whose cosets are the orbits gamma^e H, e < g, of (p - 1) / g values each.
+    """
+    return 2 * math.gcd(m, 3)
+
+
+def _check_rows(rows: int):
+    """_kernels.check_side for a join side of `rows` rows."""
+    _kernels.check_side(max(rows - 1, 0).bit_length())
+
+
+def _bucket_rows(fams: tuple, tops: np.ndarray, p: int) -> tuple:
+    """The members of both families whose top value is in tops, as rows.
+
+    Member u * len(Q) + v of a pair has top value t when Q[v]'s is
+    t - P[u]'s.  The two pairs are stacked, with Q's rows sorted by family
+    and top value, so the members of u and t are one span of them, and
+    each row of P is repeated beside the rows of its spans, a block of
+    about _kernels._BLOCK_ROWS members at a time.  Each side is checked
+    against the join cap before any row is built.  Returns A's rows and B's.
+    """
+    (hi_a, lo_a), (hi_b, lo_b) = fams
+    hi, lo = np.concatenate([hi_a, hi_b]), np.concatenate([lo_a, lo_b])
+    key = lo[:, -1] + np.array([0, p]).repeat(len(lo_a))  # family, then top value
+    # a dtype that holds the sum of two residues, so rows are reduced in place
+    dtype = np.min_scalar_type(2 * (p - 1))
+    lo = lo[key.argsort(kind="stable")].astype(dtype, copy=False)
+    count = np.bincount(key, minlength=2 * p)
+    need = (tops - hi[:, -1:].astype(np.int64)) % p
+    need[len(hi_a):] += p
+    starts, size = (count.cumsum() - count)[need], count[need]
+    per_u = size.sum(axis=1)
+    first = per_u.cumsum() - per_u
+    n_a, n = int(first[len(hi_a)]), int(first[-1] + per_u[-1])
+    _check_rows(max(n_a, n - n_a))
+    rows = np.empty((n, hi.shape[1]), dtype=dtype)
+    step = max(1, len(hi) * _kernels._BLOCK_ROWS // max(n, 1))
+    for u in range(0, len(hi), step):
+        at = _kernels._spans(starts[u:u + step].ravel(), size[u:u + step].ravel())
+        block = rows[first[u]:first[u] + len(at)]
+        lo.take(at, axis=0, out=block)
+        block += hi[u:u + step].repeat(per_u[u:u + step], axis=0)
+        np.minimum(block, block - block.dtype.type(p), out=block)
+    return rows[:n_a], rows[n_a:]
+
+
+def _lex_order(*tables: np.ndarray) -> np.ndarray:
+    """The order of the rows of tables side by side, each top column first.
+
+    The rows are compared as big-endian bytes, tables[0]'s top column
+    first and tables[-1]'s column 0 last, eight bytes to a sort key.
+    """
+    key = np.concatenate([t[:, ::-1] for t in tables], axis=1)
+    key = key.astype(key.dtype.newbyteorder(">")).view(np.uint8)
+    padded = np.zeros((len(key), -(-key.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, :key.shape[1]] = key
+    return np.lexsort(padded.view(">u8").T[::-1])
+
+
+def _bucket_pairs(ctx: FieldCtx, rows: tuple, order, src, runs, top, count: int,
+                  want: int, orbit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (of a, of b) of the first `want` minimizing pairs, in order.
+
+    runs are scan_runs' at the best prefix over the joined buckets, 0 and
+    gamma^e for e < g, and top is each run's top value.  Shift 2j scales
+    column k by gamma^(2j(1 - 2k)), so it maps bucket gamma^e onto
+    image[e, j] and its pairs onto that bucket's.  The buckets of the
+    smallest top values that hold the first `want` pairs are listed, each
+    from its joined bucket, and their pairs sorted.
+    """
+    p, gp = ctx.p, ctx.gamma_powers
+    m, g = rows[0].shape[1], (p - 1) // orbit
+    scales = gp[2 * np.arange(orbit)[:, None] * (1 - 2 * np.arange(m)) % (p - 1)]
+    image = gp[:g, None] * scales[:, -1] % p
+    joined = np.bincount(top, runs[1] * runs[2], p).astype(np.int64)
+    rep, shift = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    rep[image], shift[image] = gp[:g, None], np.arange(orbit)
+    per_top = joined[rep]  # the pairs of every bucket, from its joined bucket
+    if per_top.sum() != count:
+        raise SqrtPolyError(f"the buckets hold {per_top.sum()} pairs, "
+                            f"not the {count} counted")
+    # a bucket is listed when the buckets below it hold fewer than want pairs
+    ts = np.flatnonzero(per_top * (per_top.cumsum() - per_top < want))
+    listed = np.zeros(p, dtype=bool)
+    listed[rep[ts]] = True
+    a_at, b_at = _kernels.run_pairs(order, src, tuple(x[listed[top]] for x in runs))
+    first = (joined * listed).cumsum() - joined * listed
+    at = _kernels._spans(first[rep[ts]], per_top[ts])
+    scale = scales[shift[ts]].repeat(per_top[ts], axis=0)
+    a_rows = (rows[0][a_at[at]] * scale % p).astype(rows[0].dtype)
+    b_rows = (rows[1][b_at[at]] * scale % p).astype(rows[1].dtype)
+    keep = _lex_order(a_rows, b_rows)[:want]
+    return a_rows[keep], b_rows[keep]
 
 
 def minimal_search(ctx: FieldCtx,
@@ -126,39 +236,54 @@ def minimal_search(ctx: FieldCtx,
     if ctx.p % 4 == 3:
         return min_degree_direct(ctx)
     t0 = time.monotonic()
-    m = (ctx.p - 1) // 4
+    p, m = ctx.p, (ctx.p - 1) // 4
+    g = _top_orbits(m)
+    orbit = (p - 1) // g
+    # the 2^m members of a family lie in bucket 0 and in orbits of `orbit`
+    # buckets, each as full as its joined one: at least 2^m / orbit are joined
+    _check_rows(-(-(1 << m) // orbit))
     marks = [time.perf_counter()]  # the end of each of _STAGES in turn
-    fam_a, fam_b = _search_pairs(ctx)
-    n = len(fam_a[0]) * len(fam_a[1])
+    fams = _search_pairs(ctx)
+    marks.append(time.perf_counter())
+    tops = np.concatenate(([0], ctx.gamma_powers[:g]))
+    rows = _bucket_rows(fams, tops, p)
     marks.append(time.perf_counter())
     join = {}
-    order, src, lcp = _kernels.join_sort(fam_a, fam_b, ctx.p, join)
+    zero = np.zeros((1, m), dtype=rows[0].dtype)
+    order, src, lcp = _kernels.join_sort((rows[0], zero), (rows[1], zero), p, join)
     marks += [join.pop("packed_at"), time.perf_counter()]
-    cross = src[:-1] != src[1:]
-    if not cross.any():  # pragma: no cover - both families always nonempty
-        raise CancellationImpossible("no cross-family adjacency")
-    best = int((lcp * cross).max())
+    best = int((lcp * (src[:-1] != src[1:])).max(initial=0))
     if best >= m:
         raise CancellationImpossible("identical polynomials across families")
     min_degree = m + (m - 1 - best)
     # the (p-1)/3 lower bound does not hold at p = 5: 4 + 2x has degree 1
-    low = -(-(ctx.p - 1) // 3) if ctx.p > 5 else 1
+    low = -(-(p - 1) // 3) if p > 5 else 1
     if not low <= min_degree <= ctx.r - (ctx.q - 1) // 2:
         raise SqrtPolyError(f"search degree {min_degree} is outside the "
                             "(p-1)/3 lower and Tonelli-Shanks upper bounds")
 
-    # a run of rows whose top `best` coefficients agree, na of them from a
-    # and nb from b, holds na * nb minimizing pairs
-    runs = _kernels.scan_runs(lcp, src, best)
-    _, na, nb = runs
-    minimizer_count = int(na @ nb)
-    count_only = minimizer_count > DEFAULT_PAIR_CAP
-
     want = DEFAULT_PAIR_CAP if keep_representatives is None else keep_representatives
-    a_at, b_at = _kernels.run_pairs(order, src, runs, max(want, 0))
+    want = max(want, 0)
+    if best:
+        # a run of rows whose top `best` coefficients agree, na of them from
+        # a and nb from b, holds na * nb minimizing pairs, and as many in
+        # each bucket of its orbit
+        runs = _kernels.scan_runs(lcp, src, best)
+        top = np.concatenate([r[:, -1] for r in rows])[order[runs[0]]]
+        minimizer_count = int((runs[1] * runs[2]) @ np.where(top, orbit, 1))
+        a_rows, b_rows = _bucket_pairs(ctx, rows, order, src, runs, top,
+                                       minimizer_count, want, orbit)
+    else:
+        # no pair agrees on its top coefficient, so all pairs are minimizers,
+        # in the order of the two families sorted whole
+        _kernels.check_side(m)
+        order, src, lcp = _kernels.join_sort(*fams, p)
+        at = _kernels.run_pairs(order, src, _kernels.scan_runs(lcp, src, 0), want)
+        a_rows, b_rows = (_kernels.pair_rows(f, x, p) for f, x in zip(fams, at))
+        minimizer_count = 1 << 2 * m
+    count_only = minimizer_count > DEFAULT_PAIR_CAP
     marks.append(time.perf_counter())
-    glued = poly.glue_rows(ctx, _kernels.pair_rows(fam_a, a_at, ctx.p),
-                           _kernels.pair_rows(fam_b, b_at, ctx.p), ctx.s - 2, 0)
+    glued = poly.glue_rows(ctx, a_rows, b_rows, ctx.s - 2, 0)
     if not glued[:, min_degree].all() or glued[:, min_degree + 1:].any():
         raise SqrtPolyError(f"a representative's degree is not {min_degree}")
     reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
@@ -167,9 +292,13 @@ def minimal_search(ctx: FieldCtx,
         "wall_seconds": round(time.monotonic() - t0, 6),
         "stage_seconds": {name: round(b - a, 6)
                           for name, a, b in zip(_STAGES, marks, marks[1:])},
-        "family_size": n,
+        "family_size": 1 << m,
+        "joined_rows": sum(len(r) for r in rows),
+        "top_values": len(tops),
+        "orbit_size": orbit,
         "modulus": m,
-        "memory_bytes": sum(t.nbytes for t in (*fam_a, *fam_b)) + join["memory_bytes"],
+        "memory_bytes": sum(t.nbytes for t in (*fams[0], *fams[1], *rows))
+        + join["memory_bytes"],
         "key_columns": join["key_columns"],
         "tied_rows": join["tied_rows"],
         "count_only": count_only,

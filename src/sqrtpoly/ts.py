@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .errors import BlockOutOfRange, LevelOutOfRange, TooLarge
+from .errors import LevelOutOfRange, TooLarge
 from .field import FieldCtx
 from .poly import Poly
 from .signs import SignVector
@@ -44,28 +44,16 @@ def block_constants(ctx: FieldCtx, ks) -> np.ndarray:
     return ctx.gamma_powers[-ctx.q * np.asarray(ks, dtype=np.int64) % (ctx.p - 1)]
 
 
-def block_minimal_poly(ctx: FieldCtx, k: int) -> Poly:
-    """zeta^{-k/2} x^{(q+1)/2} on S_k, with the branch zeta^{1/2} := gamma^q."""
-    d = block_count(ctx)
-    if not (0 <= k < d):
-        raise BlockOutOfRange(f"block {k} not in [0, {d})")
-    return poly.monomial(ctx, int(block_constants(ctx, k)), (ctx.q + 1) // 2)
-
-
 def shift_scales(ctx: FieldCtx, i: int, width: int) -> np.ndarray:
-    """gamma^(i - 2ij) for j < width: the column scales of shift_family."""
+    """gamma^(i - 2ij) for j < width: the column scales of the block shift.
+
+    The shift f |-> gamma^i * f(gamma^(-2i) x) maps square-root
+    polynomials on S_0^k to ones on S_i^k, uniformly across levels
+    (tau = gamma^2, tau^(1/2) = gamma), and multiplies coefficient j by
+    gamma^(i - 2ij).
+    """
     js = np.arange(width, dtype=np.int64)
     return ctx.gamma_powers[(i - 2 * i * js) % (ctx.p - 1)]
-
-
-def shift_family(ctx: FieldCtx, f0: Poly, i: int) -> Poly:
-    """The block bijection f |-> gamma^i * f(gamma^(-2i) x).
-
-    Maps square-root polynomials on S_0^k to ones on S_i^k, uniformly
-    across levels (tau = gamma^2, tau^(1/2) = gamma).
-    """
-    scaled = np.asarray(f0.coeffs, dtype=np.int64) * shift_scales(ctx, i, ctx.r)
-    return Poly(ctx, (scaled % ctx.p).tolist())
 
 
 def _ts_rows(ctx: FieldCtx, signs: np.ndarray) -> np.ndarray:

@@ -84,6 +84,29 @@ def shift_members(ctx, members, i):
     return (members.astype(np.int64) * scales % ctx.p).astype(members.dtype)
 
 
+def block_minimal_poly(ctx, k):
+    """zeta^{-k/2} x^{(q+1)/2} on S_k, with the branch zeta^{1/2} := gamma^q."""
+    from sqrtpoly import poly, ts
+    from sqrtpoly.errors import BlockOutOfRange
+
+    d = ts.block_count(ctx)
+    if not (0 <= k < d):
+        raise BlockOutOfRange(f"block {k} not in [0, {d})")
+    return poly.monomial(ctx, int(ts.block_constants(ctx, k)), (ctx.q + 1) // 2)
+
+
+def shift_family(ctx, f0, i):
+    """The block bijection f |-> gamma^i * f(gamma^(-2i) x), on one polynomial.
+
+    Maps square-root polynomials on S_0^k to ones on S_i^k, uniformly
+    across levels (tau = gamma^2, tau^(1/2) = gamma).
+    """
+    from sqrtpoly.poly import Poly
+
+    return Poly(ctx, [c * pow(ctx.gamma, (i - 2 * i * j) % (ctx.p - 1), ctx.p) % ctx.p
+                      for j, c in enumerate(f0.coeffs)])
+
+
 def glue_all(ctx, a, b, k, i=0):
     """All |a| x |b| gluings of level-k families into level k+1, row by row."""
     import numpy as np

@@ -31,6 +31,24 @@ def test_matmul_mod_exact_past_int64():
     assert matmul_mod(a, b, 1009).tolist() == want
 
 
+@pytest.mark.parametrize("inner", [3, 4, 5, 8, 9, 23])
+def test_matmul_mod_chunks_at_their_boundary(inner):
+    # amax * bmax just below 2^53 / 4: partial sums of 4 products stay exact
+    # in float64, so the inner dimension is cut into chunks of 4, each
+    # reduced mod p; the result is the Python-integer product's
+    p = (1 << 31) - 1
+    amax, bmax = p - 1, (1 << 51) // (p - 1) - 7
+    assert ((1 << 53) - 1) // (amax * bmax) == 4
+    rng = np.random.default_rng(inner)
+    a = rng.integers(-amax, amax + 1, (6, inner))
+    b = rng.integers(0, bmax + 1, (inner, 5))
+    a[0, 0], b[0, 0] = -amax, bmax
+    a[1], b[:, 1] = amax, bmax  # a row and a column of the largest entries
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 def _naive_power_sums(ctx, rows, exps):
     p, g = ctx.p, ctx.gamma
     return [[sum(int(c) * pow(g, n * int(e), p) for n, c in enumerate(row)) % p

@@ -63,7 +63,42 @@ def test_build_level_errors(ctx41):
     with pytest.raises(LevelOutOfRange):
         build_level_zero(make_field_ctx(7))
     with pytest.raises(TooLarge):
-        minimal_search(make_field_ctx(109))  # (p-1)/4 = 27 > 26
+        # m = 34: at least 2^34 / 68 > 2^26 members a side would be joined
+        minimal_search(make_field_ctx(137))
+
+
+def test_search_refuses_p137_before_any_table(monkeypatch):
+    # the first prime past the join cap is refused from m alone: nothing of
+    # the 2^28.5 joined rows a side, nor the weights or a sign table, is built
+    def refuse(*args):
+        raise AssertionError("a weight matrix or a sign table was built")
+
+    monkeypatch.setattr(_kernels, "sign_table", refuse)
+    monkeypatch.setattr(search, "_family_weights", refuse)
+    ctx = make_field_ctx(137)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="2\\^28 rows"):
+            minimal_search(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_search_asks_the_cap_about_the_joined_rows(monkeypatch):
+    # p = 89 joins 141 382 members a side: the bound from m (95 326) passes
+    # a cap of 2^17, the rows counted before they are gathered do not
+    ctx = make_field_ctx(89)
+    monkeypatch.setattr(_kernels, "JOIN_CAP", 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="2\\^18 rows"):
+            minimal_search(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 141382 * 22 // 2, peak
 
 
 def test_minimal_search_p41(ctx41):
@@ -88,12 +123,56 @@ def test_minimal_search_p29(ctx29):
 
 
 def test_minimal_search_matches_census():
-    for p in (13, 17, 29, 37):
+    # the bucket join against the census's lowest degree and its count, past
+    # test_criterion_07's p <= 53 up to p = 89
+    for p in (13, 17, 29, 37, 61, 73, 89):
         ctx = make_field_ctx(p)
         hist = full_census(ctx)
         report = minimal_search(ctx)
         assert report.min_degree == hist.min_degree()
         assert report.minimizer_count == hist.counts[report.min_degree]
+
+
+@pytest.mark.parametrize("p", [17, 29, 41, 53, 73])
+def test_even_shifts_map_each_family_onto_itself(p):
+    # shift i maps the rows of F_0^(s-2) onto F_1^(s-2) for i = 1 and
+    # onto themselves for even i; shift 2 generates the even shifts, and
+    # at p = 73 (2^18 rows) only it is checked
+    ctx = make_field_ctx(p)
+    fam_a = oracle_families(ctx)[0]
+    fam_b = _kernels.pair_rows(search._search_pairs(ctx)[1], np.arange(len(fam_a)), p)
+
+    def row_set(rows):
+        rows = np.ascontiguousarray(rows)
+        return np.sort(rows.view(np.dtype((np.void, rows.shape[1]))).ravel())
+
+    assert np.array_equal(row_set(shift_members(ctx, fam_a, 1)), row_set(fam_b))
+    for fam in (fam_a, fam_b):
+        want = row_set(fam)
+        for i in range(2, p - 1, 2) if p < 73 else (2,):
+            assert np.array_equal(row_set(shift_members(ctx, fam, i)), want), i
+
+
+@pytest.mark.parametrize("p", [13, 251])
+def test_bucket_rows_are_the_members_of_their_top_values(p):
+    # random pairs: at p = 251 the sum of two residues needs 16 bits
+    rng = np.random.default_rng(p)
+    fams = [tuple(rng.integers(0, p, size=(n, 5)).astype(np.uint8) for n in (8, 16))
+            for _ in range(2)]
+    tops = np.array([0, 2, 7, p - 1])
+    for pair, got in zip(fams, search._bucket_rows(fams, tops, p)):
+        members = _kernels.pair_rows(pair, np.arange(128), p)
+        want = members[np.isin(members[:, -1], tops)]
+        assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
+def test_search_checks_its_bucket_count(monkeypatch, ctx41):
+    # one orbit of 40 nonzero top values, where there are two of 20: the
+    # count weighs bucket 1 by 40, and the buckets its shifts reach hold
+    # half of that, so the search refuses its count
+    monkeypatch.setattr(search, "_top_orbits", lambda m: 1)
+    with pytest.raises(SqrtPolyError, match="buckets hold"):
+        minimal_search(ctx41)
 
 
 def test_minimal_search_keep_limit(ctx41):
@@ -107,7 +186,7 @@ def test_minimal_search_keep_limit(ctx41):
 
 
 @pytest.mark.parametrize("p, keep", [
-    *((p, keep) for p in (13, 17, 29, 37, 41, 53) for keep in (1, 3, None)),
+    *((p, keep) for p in (5, 13, 17, 29, 37, 41, 53) for keep in (1, 3, None)),
     (61, 1), (61, 16), (73, 1), (73, 16)])
 def test_group_scan_matches_naive_loop(p, keep):
     ctx = make_field_ctx(p)
@@ -196,18 +275,24 @@ def test_search_memory_is_the_keys(p):
 
 def test_search_stage_stats(ctx41):
     stats = minimal_search(ctx41).stats
-    assert set(stats["stage_seconds"]) == {"half_tables", "keys", "sort",
-                                           "run_scan", "glue"}
+    assert set(stats["stage_seconds"]) == {"half_tables", "buckets", "keys",
+                                           "sort", "run_scan", "glue"}
     assert all(v >= 0 for v in stats["stage_seconds"].values())
+    # m = 10 and gcd(10, 3) = 1: bucket 0 and one bucket of each of the two
+    # orbits of 40 / 2 = 20 nonzero top values are joined
+    assert (stats["top_values"], stats["orbit_size"]) == (3, 20)
     pairs = search._search_pairs(ctx41)
-    order, src, lcp = _kernels.join_sort(*pairs, ctx41.p)
-    # 2^11 rows need 11 index bits, and 8 columns of 6 bits fit beside
-    # them; order is the key itself, and the tie pass reads the other 2
-    # uint8 columns of each tied row
-    assert stats["key_columns"] == 8
-    built = [t for pair in pairs for t in pair] + [order, src, lcp]
-    tie_bytes = 2 * stats["tied_rows"]
-    assert stats["memory_bytes"] == sum(x.nbytes for x in built) + tie_bytes
+    tops = np.array([0, 1, ctx41.gamma])
+    rows = search._bucket_rows(pairs, tops, ctx41.p)
+    assert stats["joined_rows"] == sum(len(r) for r in rows) == 148
+    zero = np.zeros((1, 10), dtype=rows[0].dtype)
+    order, src, lcp = _kernels.join_sort((rows[0], zero), (rows[1], zero), ctx41.p)
+    # 148 rows need 8 index bits, and 9 columns of 6 bits fit beside them;
+    # order is the key itself, and the tie pass reads the other uint8
+    # column of each tied row
+    assert stats["key_columns"] == 9
+    built = [t for pair in pairs for t in pair] + list(rows) + [order, src, lcp]
+    assert stats["memory_bytes"] == sum(x.nbytes for x in built) + stats["tied_rows"]
     assert stats["family_size"] == 1 << 10
 
 

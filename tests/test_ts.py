@@ -10,6 +10,7 @@ from sqrtpoly.poly import eval_poly, is_sqrt_poly
 from sqrtpoly.signs import SignVector, from_signs
 
 from .fixtures import P41_TS_TABLE, TS_COUNTS
+from .helpers import block_minimal_poly, shift_family
 
 
 def block_points(ctx, k):
@@ -29,15 +30,15 @@ def test_block_counts(ctx41):
 
 def test_block_minimal_poly_values(ctx41):
     # tau^{-k} for tau = gamma^q = 6^5 = 27 mod 41
-    coeffs = [ts.block_minimal_poly(ctx41, k).sparse() for k in range(4)]
+    coeffs = [block_minimal_poly(ctx41, k).sparse() for k in range(4)]
     assert coeffs == [[(3, 1)], [(3, 38)], [(3, 9)], [(3, 14)]]
     with pytest.raises(BlockOutOfRange):
-        ts.block_minimal_poly(ctx41, 4)
+        block_minimal_poly(ctx41, 4)
 
 
 def test_block_minimal_poly_is_block_sqrt(ctx41):
     for k in range(4):
-        f = ts.block_minimal_poly(ctx41, k)
+        f = block_minimal_poly(ctx41, k)
         pts = block_points(ctx41, k)
         assert len(pts) == ctx41.q
         for a in pts:
@@ -47,15 +48,15 @@ def test_block_minimal_poly_is_block_sqrt(ctx41):
 
 def test_block_minimal_poly_s1():
     ctx = make_field_ctx(19)
-    f = ts.block_minimal_poly(ctx, 0)
+    f = block_minimal_poly(ctx, 0)
     assert f.sparse() == [(5, 1)]
     assert is_sqrt_poly(ctx, f)
 
 
 def test_shift_family_moves_blocks(ctx41):
-    f0 = ts.block_minimal_poly(ctx41, 0)
+    f0 = block_minimal_poly(ctx41, 0)
     for i in range(4):
-        fi = ts.shift_family(ctx41, f0, i)
+        fi = shift_family(ctx41, f0, i)
         for a in block_points(ctx41, i):
             v = eval_poly(fi, a)
             assert v * v % ctx41.p == a
@@ -67,7 +68,7 @@ def test_shift_family_matches_shift_members(ctx41):
         for i in (1, 2, 3):
             rows = search.build_level(ctx41, k, i).members.tolist()
             for w, row in enumerate(rows):
-                fi = ts.shift_family(ctx41, fam.member_poly(ctx41, w), i)
+                fi = shift_family(ctx41, fam.member_poly(ctx41, w), i)
                 assert fi.coeffs == row + [0] * (ctx41.r - fam.modulus)
 
 
