@@ -7,24 +7,29 @@ p - 1.  It splits L = a * b with a the largest divisor of L whose
 square is at most L, so both sides are near sqrt(L) (Bailey's four-step
 split, over F_p as Pollard carried Cooley-Tukey there), and it never
 builds an L x L power table.  Where to split and where to stop comes
-from one cost estimate per call, the plan.
-A prime length, or rows for which a split is estimated to cost more
-(sparse rows, short rows, or many rows, which one BLAS product serves at
-once), is a leaf: power_sums, the table route, sums sum_n rows[i, n] *
-gamma^(n * exps[k]) from a table (power_block) built only for the
-columns some row uses, a block of exps at a time.
+from a cost estimate, the plan, which depends on the shape (L, rows)
+alone and is made once per shape and process (_plan).
+A prime length, or a shape for which a split is estimated to cost more
+(short rows, or many rows, which one BLAS product serves at once), is a
+leaf: one product with the kept n x n table gamma^(e n k).  The one
+choice made per call is for rows so sparse that a table over only the
+columns some row uses costs less than the plan, such as a monomial:
+they go to power_sums, sums sum_n rows[i, n] * gamma^(n * exps[k]) from
+such a table (power_block), a block of exps at a time.
 Products go through matmul_mod: float64 BLAS over chunks of the inner
 dimension in which every partial sum stays below 2^53, where doubles are
 exact, and Python integers only when one product of two entries reaches
 2^53.  A large prime factor of L (Bluestein's case) stays a dense
 leaf.
-The power tables, each split's twiddle block gamma^(e n1 k1) and each
-leaf's block, depend on p and their exponents alone, so _TABLES keeps
-them for the next call, keyed on (p, rows, cols) of power_block and
-never on a context object or a plan: a table is built once per process,
-not once per call.  Only tables of at most _BLOCK_ENTRIES entries are
-kept, _CACHE_BYTES = 32 MiB in all, least recently used dropped first,
-and every kept table is read-only.
+Tables depend on p and their exponents alone, so _TABLES keeps them for
+the next call, never keyed on a context object: each leaf's table, as
+float64 ready for matmul_mod (its entries are below p < 2^53, so it is
+exact and needs no scan for its largest entry); each split's twiddles
+gamma^(e n1 k1), int64; power_sums' tables, float64; and gamma^j of each
+prime for FieldCtx.gamma_powers.  Every table is built once per process,
+not once per call, and is read-only.  Only tables of at most
+_BLOCK_ENTRIES entries are kept, _CACHE_BYTES = 32 MiB in all, least
+recently used dropped first; _TABLES.clear() drops the plans with them.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ _BLOCK_ENTRIES = 1 << 21  # power-table entries built at a time
 _TABLE_COST = 256
 _LEVEL_COST = 1024
 _SPLIT_COST = 1 << 20
-_NARROW = 8  # at most this many columns: test a tall array column by column
 _CACHE_BYTES = 1 << 25  # power tables kept for reuse, 32 MiB in all
 
 
@@ -57,15 +61,21 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     amax * bmax * chunk < 2^53 bounds every partial sum, each chunk's
     product reduced mod p and the chunks summed mod p in int64; Python
     integers, which cannot wrap, only when amax * bmax alone reaches 2^53.
+    A float64 b is taken as one of _TABLES' power tables: its entries are
+    residues, so bmax is p - 1 without a scan and b is used as it is.
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    if isinstance(b, np.ndarray) and b.dtype == np.float64:
+        bmax = p - 1
+    else:
+        b = np.ascontiguousarray(b, dtype=np.int64)
+        bmax = int(np.abs(b).max(initial=0))
     amax = int(np.abs(a).max(initial=0))
-    bmax = int(np.abs(b).max(initial=0))
     if amax * bmax >= _EXACT:
-        return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+        b = b.astype(np.int64, copy=False).astype(object)
+        return ((a.astype(object) @ b) % p).astype(np.int64)
     step = ((1 << 53) - 1) // max(amax * bmax, 1)
-    a, b = a.astype(np.float64), b.astype(np.float64)
+    a, b = a.astype(np.float64), b.astype(np.float64, copy=False)
     out = (a[..., :step] @ b[:step]).astype(np.int64) % p
     for lo in range(step, a.shape[-1], step):
         out += (a[..., lo:lo + step] @ b[lo:lo + step]).astype(np.int64) % p - p
@@ -73,31 +83,26 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _used_columns(rows: np.ndarray) -> np.ndarray:
-    """Whether each column of rows holds a nonzero entry.
-
-    rows.any(axis=0) steps through every row with an inner loop as short
-    as a row, so on a tall array of a few columns (ntt's deep levels and
-    2-point leaves) one strided pass per column is about ten times faster.
-    """
-    height, width = rows.shape
-    if width <= _NARROW < height:
-        return np.array([rows[:, n].any() for n in range(width)], dtype=bool)
-    return rows.any(axis=0)
-
-
 def power_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix gamma^(rows[i] * cols[j] mod p-1), built by table lookup."""
-    idx = (rows[:, None].astype(np.int64) * cols[None, :].astype(np.int64)) % (ctx.p - 1)
+    """Matrix gamma^(rows[i] * cols[j] mod p-1), built by table lookup.
+
+    Both factors are reduced mod p - 1 first, so their product stays below
+    p^2, within int64 wherever ctx.gamma_powers exists.
+    """
+    q = ctx.p - 1
+    idx = np.multiply.outer(rows.astype(np.int64, copy=False) % q,
+                            cols.astype(np.int64, copy=False) % q) % q
     return ctx.gamma_powers[idx]
 
 
 class _TableCache:
-    """Read-only power tables by (p, rows, cols), least recently used first.
+    """Read-only tables keyed on p first, least recently used dropped first.
 
     gamma is the least primitive root of p, so a table depends on p and
-    not on the context: a fresh context of the same p finds the tables
-    of the last one.
+    its exponents, not on the context: a fresh context of the same p finds
+    the tables of the last one.  Keys: (p, "gamma") for gamma^j,
+    (p, "leaf", n, e) and (p, "twiddles", a, b, e) for ntt's leaves and
+    splits, and (p, rows, cols) for power_sums.
     """
 
     def __init__(self):
@@ -105,26 +110,35 @@ class _TableCache:
         self.nbytes = 0
 
     def clear(self):
+        """Drop every table, and ntt's plans with them."""
         self.tables.clear()
         self.nbytes = 0
+        _plan.cache_clear()
 
-    def get(self, ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """power_block(ctx, rows, cols), built only when not kept already."""
-        if rows.size * cols.size > _BLOCK_ENTRIES:
-            return power_block(ctx, rows, cols)
-        key = (ctx.p, rows.astype(np.int64, copy=False).tobytes(),
-               cols.astype(np.int64, copy=False).tobytes())
+    def keep(self, key: tuple, build) -> np.ndarray:
+        """The table under key, from build() when not kept already.
+
+        Every table it returns is read-only; one of more than
+        _BLOCK_ENTRIES entries is returned but not kept.
+        """
         table = self.tables.get(key)
         if table is not None:
             self.tables.move_to_end(key)
             return table
-        table = power_block(ctx, rows, cols)
+        table = build()
         table.flags.writeable = False
-        self.tables[key] = table
-        self.nbytes += table.nbytes
-        while self.nbytes > _CACHE_BYTES:
-            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
+        if table.size <= _BLOCK_ENTRIES:
+            self.tables[key] = table
+            self.nbytes += table.nbytes
+            while self.nbytes > _CACHE_BYTES:
+                self.nbytes -= self.tables.popitem(last=False)[1].nbytes
         return table
+
+    def get(self, ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """power_block(ctx, rows, cols) as float64, built once."""
+        key = (ctx.p, rows.astype(np.int64, copy=False).tobytes(),
+               cols.astype(np.int64, copy=False).tobytes())
+        return self.keep(key, lambda: power_block(ctx, rows, cols).astype(np.float64))
 
 
 _TABLES = _TableCache()
@@ -140,7 +154,7 @@ def power_sums(ctx, rows: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     exps = np.asarray(exps, dtype=np.int64)
-    ns = np.flatnonzero(_used_columns(rows))
+    ns = np.flatnonzero(rows.any(axis=0))
     if not len(ns):
         return np.zeros((rows.shape[0], len(exps)), dtype=np.int64)
     used = rows if len(ns) == rows.shape[1] else rows[:, ns]
@@ -167,42 +181,54 @@ def _split(length: int) -> tuple[int, int] | None:
     return (a, length // a) if a > 1 else None
 
 
-def _plan(length: int, m: int, plan: dict) -> int:
-    """Estimated cost of ntt on m dense rows of the given length.
+@lru_cache(maxsize=1024)
+def _plan(length: int, m: int) -> tuple[int, tuple[int, int] | None]:
+    """(cost, split): ntt's estimated cost on m dense rows of the given
+    length and the split (a, b) it makes there, None for a leaf.
 
     The cheaper of a leaf, a length x length table times the rows, and a
-    split by _split: its two sides' transforms, twiddles and transposes
-    plus a fixed cost.  plan[(length, m)] records (cost, split), split
-    None for a leaf, for this node and every node below it.  A length is
-    not split when its twiddles and fixed cost alone exceed the leaf.
+    split by _split: its two sides' plans, (b, m * a) and (a, m * b),
+    twiddles and transposes plus a fixed cost.  A length is not split
+    when its twiddles and fixed cost alone exceed the leaf.  The plan
+    depends on the shape alone, so each is made once per process.
     """
-    if (length, m) not in plan:
-        leaf = length * length * (_TABLE_COST + m)
-        level = m * length * _LEVEL_COST + _SPLIT_COST
-        split = _split(length) if level < leaf else None
-        plan[length, m] = (leaf, None)
-        if split:
-            a, b = split
-            cost = _plan(b, m * a, plan) + _plan(a, m * b, plan) + level
-            if cost < leaf:
-                plan[length, m] = (cost, split)
-    return plan[length, m][0]
+    leaf = length * length * (_TABLE_COST + m)
+    level = m * length * _LEVEL_COST + _SPLIT_COST
+    split = _split(length) if level < leaf else None
+    if split:
+        a, b = split
+        cost = _plan(b, m * a)[0] + _plan(a, m * b)[0] + level
+        if cost < leaf:
+            return cost, split
+    return leaf, None
 
 
-def _ntt(ctx, rows: np.ndarray, e: int, plan: dict) -> np.ndarray:
+def _leaf(ctx, rows: np.ndarray, e: int) -> np.ndarray:
+    """ntt of dense rows by one product with the kept table gamma^(e n k)."""
+    p, n = ctx.p, rows.shape[1]
+    if n * n > _BLOCK_ENTRIES:  # kept in blocks of exps by power_sums
+        return power_sums(ctx, rows, e * np.arange(n, dtype=np.int64))
+    ks = np.arange(n, dtype=np.int64)
+    table = _TABLES.keep((p, "leaf", n, e),
+                         lambda: power_block(ctx, ks, e * ks).astype(np.float64))
+    return matmul_mod(rows, table, p)
+
+
+def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
+    """ntt of the rows along the plan of their shape."""
     m, length = rows.shape
-    cost, split = plan[length, m]
-    if (split is None or np.count_nonzero(_used_columns(rows)) * length
-            * (_TABLE_COST + m) <= cost):
-        return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
+    split = _plan(length, m)[1]
+    if split is None:
+        return _leaf(ctx, rows, e)
     p, (a, b) = ctx.p, split
     # n = n1 + a n2, k = k1 + b k2: b-point transforms of the a decimated
     # sub-rows, twiddles gamma^(e n1 k1), then a-point transforms
     sub = rows.reshape(m, b, a).transpose(0, 2, 1).reshape(m * a, b)
-    y = _ntt(ctx, sub, e * a % (p - 1), plan).reshape(m, a, b)
-    y = y * _TABLES.get(ctx, np.arange(a, dtype=np.int64),
-                        e * np.arange(b, dtype=np.int64) % (p - 1)) % p
-    z = _ntt(ctx, y.transpose(0, 2, 1).reshape(m * b, a), e * b % (p - 1), plan)
+    y = _run(ctx, sub, e * a % (p - 1)).reshape(m, a, b)
+    twiddles = _TABLES.keep((p, "twiddles", a, b, e), lambda: power_block(
+        ctx, np.arange(a, dtype=np.int64), e * np.arange(b, dtype=np.int64)))
+    z = _run(ctx, (y * twiddles % p).transpose(0, 2, 1).reshape(m * b, a),
+             e * b % (p - 1))
     return z.reshape(m, b, a).transpose(0, 2, 1).reshape(m, length)
 
 
@@ -210,18 +236,24 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     """out[i, k] = sum_n rows[i, n] * gamma^(e n k) mod p, in [0, p), k < L.
 
     rows: (m, L) integers with e * L divisible by p - 1; a 1-d row is
-    taken as one row.  Exact while p^2 < 2^63: each twiddle product of
-    two residues then fits int64, and ctx.gamma_powers refuses larger p
-    with TooLarge before any product is formed.  Every sum goes through
-    matmul_mod.  The split plan is estimated once per call.
+    taken as one row.  The plan of the shape (m, L) is made once per
+    process; the one choice made per call is the leaf over used columns
+    only (power_sums) for rows so sparse that it costs less than the
+    plan, such as a monomial.  Exact while p^2 < 2^63: each twiddle
+    product of two residues then fits int64, and ctx.gamma_powers refuses
+    larger p with TooLarge before any product is formed.  Every sum goes
+    through matmul_mod.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     m, length = rows.shape
     if e * length % (ctx.p - 1):
         raise OrderDoesNotDivide(f"gamma^{e} has no order dividing L = {length}")
-    plan = {}
-    _plan(length, m, plan)
-    return _ntt(ctx, rows, e % (ctx.p - 1), plan)
+    e %= ctx.p - 1
+    cost, split = _plan(length, m)
+    used = np.count_nonzero(rows.any(axis=0))
+    if used < length and (split is None or used * length * (_TABLE_COST + m) <= cost):
+        return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
+    return _run(ctx, rows, e)
 
 
 def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:

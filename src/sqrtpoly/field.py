@@ -69,6 +69,21 @@ def _least_primitive_root(p: int) -> int:
         g += 1
 
 
+def _gamma_table(p: int, gamma: int):
+    """gamma^j mod p for 0 <= j < p-1, by doubling: out[n:2n] = out[:n] * gamma^n
+    mod p, exact in int64 while p^2 < 2^63."""
+    import numpy as np
+
+    out = np.empty(p - 1, dtype=np.int64)
+    out[0] = 1
+    n = 1
+    while n < p - 1:
+        k = min(n, p - 1 - n)
+        out[n:n + k] = out[:k] * pow(gamma, n, p) % p
+        n += k
+    return out
+
+
 class FieldCtx:
     """All fixed-per-prime data; immutable after construction."""
 
@@ -106,25 +121,19 @@ class FieldCtx:
 
     @cached_property
     def gamma_powers(self):
-        """numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).
+        """Read-only numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).
 
-        Built by doubling, out[n:2n] = out[:n] * gamma^n mod p, which is
-        exact in int64 while p^2 < 2^63; larger p raise TooLarge (the
-        table alone would then hold more than 3e9 entries).
+        One table serves every context of p: _modmat._TABLES keeps it with
+        the power tables.  Products of two entries are exact in int64 while
+        p^2 < 2^63; larger p raise TooLarge before anything is allocated
+        (the table alone would then hold more than 3e9 entries).
         """
-        import numpy as np
+        from ._modmat import _TABLES
 
         p = self.p
         if (p - 1) ** 2 >= 1 << 63:
             raise TooLarge(f"gamma^j table for p={p}: products of residues overflow int64")
-        out = np.empty(p - 1, dtype=np.int64)
-        out[0] = 1
-        n = 1
-        while n < p - 1:
-            k = min(n, p - 1 - n)
-            out[n:n + k] = out[:k] * pow(self.gamma, n, p) % p
-            n += k
-        return out
+        return _TABLES.keep((p, "gamma"), lambda: _gamma_table(p, self.gamma))
 
     @cached_property
     def _baby_steps(self) -> tuple[int, dict[int, int]]:

@@ -52,8 +52,7 @@ def coeffs_from_signs(ctx: FieldCtx, eps: SignVector) -> Poly:
     """The unique f with f(gamma^(2n)) = eps_n gamma^n, mod x^r - 1."""
     if eps.d != ctx.r:
         raise LengthMismatch(f"eps length {eps.d} != r = {ctx.r}")
-    row = np.array(eps.signs(), dtype=np.int64)
-    c = _modmat.signed_dft(ctx, row)[0]
+    c = _modmat.signed_dft(ctx, eps.sign_array())[0]
     return Poly(ctx, c.tolist())
 
 
@@ -96,7 +95,7 @@ def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
         raise LengthMismatch(f"eps length {eps.d} != d = {d}")
     p, step = ctx.p, (ctx.p - 1) // d  # zeta_d = gamma^step
     half_root = ctx.gamma_powers[np.arange(d, dtype=np.int64) * ((d + 1) // 2) % d * step]
-    row = np.array(eps.signs(), dtype=np.int64) * half_root
+    row = eps.sign_array() * half_root
     c = _modmat.ntt(ctx, row, -step)[0] * pow(d, -1, p) % p
     return poly.from_coeffs(ctx, c.tolist())
 

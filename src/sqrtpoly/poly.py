@@ -62,11 +62,20 @@ class Poly:
 
 
 def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
-    """Build a Poly from any coefficient list of length <= r (zero padded)."""
-    c = [v % ctx.p for v in coeffs]
+    """Build a Poly from any coefficient list of length <= r (zero padded).
+
+    Machine integers are reduced as one int64 array; integers of any size
+    (JSON input) make an object array, reduced exactly as Python ints.
+    """
+    try:
+        c = np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        c = np.asarray(coeffs, dtype=object)
     if len(c) > ctx.r:
         raise DegreeTooLarge(f"{len(c)} coefficients but r = {ctx.r}")
-    return Poly(ctx, c + [0] * (ctx.r - len(c)))
+    out = np.zeros(ctx.r, dtype=c.dtype)
+    out[:len(c)] = c % ctx.p
+    return Poly(ctx, out.tolist())
 
 
 def monomial(ctx: FieldCtx, coeff: int, exp: int) -> Poly:
@@ -108,8 +117,8 @@ def sqrt_ratios(ctx: FieldCtx, f: Poly) -> np.ndarray:
     and then the entries are its signs eps_n mod p.
     """
     vals = _modmat.eval_on_squares(ctx, f.coeffs)[0]
-    ns = np.arange(ctx.r, dtype=np.int64)
-    return vals * ctx.gamma_powers[-ns % (ctx.p - 1)] % ctx.p
+    # gamma^(-n) = -gamma^(r - n), as gamma^r = -1: a reversed slice, no gather
+    return -vals * ctx.gamma_powers[ctx.r:0:-1] % ctx.p
 
 
 def is_sqrt_poly(ctx: FieldCtx, f: Poly) -> bool:

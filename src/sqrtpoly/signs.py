@@ -25,11 +25,15 @@ class SignVector:
     def sign(self, n: int) -> int:
         return -1 if (self.bits >> n) & 1 else 1
 
-    def signs(self) -> list[int]:
-        """[eps_0, ..., eps_{d-1}], read off the bytes of the word at once."""
+    def sign_array(self) -> np.ndarray:
+        """[eps_0, ..., eps_{d-1}] as int64, read off the bytes of the word at once."""
         raw = np.frombuffer(self.bits.to_bytes((self.d + 7) // 8, "little"), np.uint8)
         minus = np.unpackbits(raw, count=self.d, bitorder="little")
-        return (1 - 2 * minus.astype(np.int64)).tolist()
+        return 1 - 2 * minus.astype(np.int64)
+
+    def signs(self) -> list[int]:
+        """[eps_0, ..., eps_{d-1}]."""
+        return self.sign_array().tolist()
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.bits ^ ((1 << self.d) - 1), self.d)

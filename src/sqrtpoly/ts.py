@@ -76,7 +76,7 @@ def _ts_rows(ctx: FieldCtx, signs: np.ndarray) -> np.ndarray:
 
 def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:
     """Glue the signed block monomials into one polynomial on S."""
-    row = _ts_rows(ctx, np.array([choice.h.signs()], dtype=np.int64))[0]
+    row = _ts_rows(ctx, choice.h.sign_array()[None])[0]
     return Poly(ctx, row.tolist())
 
 

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from sqrtpoly import canonical_sqrt, legendre, make_field_ctx, root_of_unity
+from sqrtpoly import canonical_sqrt, field, legendre, make_field_ctx, root_of_unity
 from sqrtpoly.errors import (EvenInput, NotAResidue, NotPrime,
                              OrderDoesNotDivide, TooLarge)
-from sqrtpoly.field import is_prime, prime_factors
+from sqrtpoly.field import FieldCtx, is_prime, prime_factors
 
 
 @pytest.mark.parametrize("p,s,q,r,gamma", [
@@ -135,6 +135,18 @@ def test_gamma_powers_by_doubling(p):
     js = set(range(min(p - 1, 2000))) | {p - 2} | {rng.randrange(p - 1) for _ in range(500)}
     assert all(int(g[j]) == pow(ctx.gamma, j, p) for j in js)
     assert len(np.unique(g)) == p - 1
+
+
+def test_fresh_contexts_of_one_prime_share_one_gamma_table(monkeypatch):
+    first = FieldCtx(4001).gamma_powers
+
+    def no_table(*args):
+        raise AssertionError("gamma^j of p = 4001 built twice")
+
+    monkeypatch.setattr(field, "_gamma_table", no_table)
+    assert make_field_ctx(4001).gamma_powers is first
+    assert FieldCtx(4001).gamma_powers is first
+    assert not first.flags.writeable
 
 
 def test_gamma_powers_refuse_int64_overflow():

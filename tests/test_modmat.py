@@ -13,7 +13,11 @@ from sqrtpoly.signs import SignVector
 
 @pytest.fixture
 def no_tables():
-    """An empty table cache, so that a test sees every table it needs built."""
+    """An empty table cache and no plans, so that a test sees every table it
+    needs built; emptied again after it, so that no plan made under costs
+    the test patched outlives them."""
+    _modmat._TABLES.clear()
+    yield
     _modmat._TABLES.clear()
 
 
@@ -105,7 +109,7 @@ def _split_always(monkeypatch):
 
 
 @pytest.fixture(params=["estimated", "always"])
-def splits(request, monkeypatch):
+def splits(request, monkeypatch, no_tables):
     """ntt's leaf/split choice as estimated, or a split wherever one exists."""
     if request.param == "always":
         _split_always(monkeypatch)
@@ -153,27 +157,53 @@ def test_split_is_the_divisor_pair_nearest_the_square_root(length, split):
 
 
 def _leaf_lengths(monkeypatch):
-    """The row lengths of ntt's power_sums leaves, in call order."""
+    """The row lengths of ntt's planned leaves, in call order."""
     lengths = []
-    power_sums = _modmat.power_sums
-    monkeypatch.setattr(_modmat, "power_sums",
-                        lambda ctx, rows, exps: lengths.append(rows.shape[1])
-                        or power_sums(ctx, rows, exps))
+    leaf = _modmat._leaf
+    monkeypatch.setattr(_modmat, "_leaf",
+                        lambda ctx, rows, e: lengths.append(rows.shape[1])
+                        or leaf(ctx, rows, e))
     return lengths
 
 
-def test_one_row_of_2000_is_two_table_products(monkeypatch):
+def test_one_row_of_2000_is_two_table_products(monkeypatch, no_tables):
     ctx = make_field_ctx(4001)
     lengths = _leaf_lengths(monkeypatch)
     rows = _dense_rows(ctx, ctx.r, 5)[:1]
     got = ntt(ctx, rows, 2)
     assert lengths == [50, 40]
     assert np.array_equal(got, power_sums(ctx, rows, 2 * np.arange(ctx.r)))
-    # the plan is made per call, so the next call follows changed costs
+    # the plan is made once per shape: changed costs do not change it
+    # until the plans are dropped with the tables
     _split_always(monkeypatch)
+    lengths.clear()
+    assert np.array_equal(ntt(ctx, rows, 2), got) and lengths == [50, 40]
+    _modmat._TABLES.clear()
     lengths.clear()
     assert np.array_equal(ntt(ctx, rows, 2), got)
     assert lengths and all(prime_factors(n) == [n] for n in lengths), lengths
+
+
+@pytest.mark.parametrize("p", [1009, 2003, 4001])
+def test_rows_with_a_few_zero_columns_take_the_kept_plan(monkeypatch, no_tables, p):
+    # rows of 1, 2 and 3 zero columns, as in about 30 % of a round trip's
+    # transforms: each takes the split and its tables, whatever its zeros
+    ctx = make_field_ctx(p)
+    rng = np.random.default_rng(p)
+    rows = rng.integers(1, p, (3, 1, ctx.r))
+    for zeros, row in zip((1, 2, 3), rows):
+        row[0, rng.choice(ctx.r, zeros, replace=False)] = 0
+    want = [power_sums(ctx, row, 2 * np.arange(ctx.r)) for row in rows]
+    lengths = _leaf_lengths(monkeypatch)
+    assert np.array_equal(ntt(ctx, rows[0], 2), want[0])
+    assert lengths and max(lengths) < ctx.r, lengths
+
+    def no_table(*args):
+        raise AssertionError(f"a table of p = {p} built twice")
+
+    monkeypatch.setattr(_modmat, "power_block", no_table)
+    for row, w in zip(rows[1:], want[1:]):
+        assert np.array_equal(ntt(ctx, row, 2), w)
 
 
 @pytest.mark.parametrize("splits", ["always"], indirect=True)
@@ -197,6 +227,17 @@ def test_ntt_at_long_smooth_lengths(p):
     for e in (2, -2):
         got = ntt(ctx, rows, e)
         assert np.array_equal(got[:, ks], power_sums(ctx, rows, e * ks))
+
+
+def test_a_monomial_far_out_does_not_wrap_int64(no_tables):
+    # the exponent n * e * k of x^(r-1) with e = -2 at p = 4000037 reaches
+    # 1.6e19 unreduced; power_block reduces both factors mod p - 1 first
+    ctx = make_field_ctx(4000037)
+    row = np.zeros(ctx.r, dtype=np.int64)
+    row[-1] = 1
+    ks = [0, 1, 12345, ctx.r - 1]
+    got = ntt(ctx, row, -2)[0, ks]
+    assert got.tolist() == [pow(ctx.gamma, -2 * (ctx.r - 1) * k, ctx.p) for k in ks]
 
 
 def test_ntt_rejects_a_length_without_a_root(ctx41):

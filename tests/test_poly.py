@@ -40,6 +40,18 @@ def test_from_coeffs_normalizes(ctx13):
         from_coeffs(ctx13, [1] * (ctx13.r + 1))
 
 
+def test_from_coeffs_reduces_integers_of_any_size(ctx13):
+    # JSON integers past int64 are reduced exactly; an int64 array the
+    # same as a list; either way the coefficients are Python ints
+    pad = [0] * (ctx13.r - 3)
+    for coeffs, want in (([10**30, -10**30, -1], [10**30 % 13, -10**30 % 13, 12]),
+                         (np.array([40, -1, 1 << 62], dtype=np.int64),
+                          [40 % 13, 12, (1 << 62) % 13])):
+        f = from_coeffs(ctx13, coeffs)
+        assert f.coeffs == want + pad
+        assert all(type(c) is int for c in f.coeffs)
+
+
 def test_poly_of_wrong_length_is_refused(ctx13):
     for coeffs in ([1, 2], [0] * (ctx13.r + 1)):
         with pytest.raises(LengthMismatch):
