@@ -30,8 +30,9 @@ by one join_hist per aligned block of indices, whose words are a
 sub-pair of A against a sub-pair of B; its hist[0] counts the rows that
 vanish outright.  run_pairs lists the agreeing pairs themselves, and
 shard_range is the one rule that cuts Gray indices into shards.  No side
-of a join holds over 2^JOIN_CAP rows, and check_side is the one place
-that refuses a larger one.
+of a join holds over 2^JOIN_CAP rows: check_side is the one place that
+refuses a larger one, asked with the rows of the side, and check_signs
+asks it for the larger side of the half_tables of d signs.
 """
 
 from __future__ import annotations
@@ -340,16 +341,22 @@ def sign_pair(weights: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             sign_table(weights[:low], p).astype(dtype))
 
 
-def check_side(bits: int):
-    """Refuse a join side of 2^bits rows past the join cap, with TooLarge.
+def check_side(rows: int):
+    """Refuse a join side of more than 2^JOIN_CAP rows, with TooLarge.
 
-    The one size rule of every join: each caller asks it, with the signs
-    of its larger side (d - d // 2 for the half_tables of d weights), before
-    it builds any weight matrix or table.
+    The one size rule of every join: each caller asks it, with the rows
+    of its larger side, before it builds any weight matrix or table.  A
+    side of 2^64 rows or more is named by its power of two.
     """
-    if bits > JOIN_CAP:
-        raise TooLarge(f"a join side of 2^{bits} rows exceeds the join cap "
+    if rows > 1 << JOIN_CAP:
+        size = rows if rows < 1 << 64 else f"2^{rows.bit_length() - 1} or more"
+        raise TooLarge(f"a join side of {size} rows exceeds the join cap "
                        f"2^{JOIN_CAP}")
+
+
+def check_signs(d: int):
+    """check_side for the half_tables of d signs: the high half's 2^(d - d // 2) rows."""
+    check_side(1 << min(d - d // 2, 64))  # past 2^64 rows no huge integer is built
 
 
 def half_tables(weights: np.ndarray, p: int) -> tuple[tuple, tuple, int]:
@@ -359,8 +366,7 @@ def half_tables(weights: np.ndarray, p: int) -> tuple[tuple, tuple, int]:
     sign at n < b and bit n of a high word the sign at b + n; row A[w]
     holds the sum over the low half and row B[w] minus the sum over the
     high half, from the negated weights, so a vector's row is
-    A[low word] - B[high word] mod p.  Its caller has asked check_side
-    for the high half's d - b signs.
+    A[low word] - B[high word] mod p.  Its caller has asked check_signs(d).
     """
     half = len(weights) // 2
     return sign_pair(weights[:half], p), sign_pair(-weights[half:] % p, p), half

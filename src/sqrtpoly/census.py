@@ -13,10 +13,10 @@ and a shard, a range of Gray-code indices, joins sub-pairs of them, one
 join per aligned block of indices.
 
 The one size rule is the join cap: no side of a join may hold more than
-2^26 rows (r <= 52 in full_census and orbit_divisibility_check, d <= 52
-in family_census), and _kernels.check_side refuses a larger census
-before its weights or any table is built.  An explicit max_r refuses less than that; none is
-applied by default.
+2^26 rows, and _kernels.check_signs refuses a join over more signs (r in
+full_census and orbit_divisibility_check, d in family_census, past 52)
+before its weights or any table is built.  An explicit max_r refuses
+less than that; none is applied by default.
 
 full_census joins the r coefficients.  family_census joins the d
 coefficients that the alternating-periodic subfamily can reach:
@@ -118,7 +118,7 @@ def _check_cap(r: int, max_r: int | None):
     """Refuse a census over r signs above max_r, if given, or the join cap."""
     if max_r is not None and r > max_r:
         raise TooLarge(f"r = {r} exceeds census cap {max_r}")
-    _kernels.check_side(r - r // 2)
+    _kernels.check_signs(r)
 
 
 def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
@@ -192,17 +192,14 @@ def family_census(ctx: FieldCtx, d: int) -> DegreeHistogram:
     d is capped by the join cap, as r in full_census.
     """
     _check_family_divisor(ctx, d)
-    _kernels.check_side(d - d // 2)
+    _kernels.check_signs(d)
     p = ctx.p
     degs = family_admissible_degrees(ctx, d)[::-1]  # ascending
     exps = (1 - 2 * np.asarray(degs, dtype=np.int64)) % (p - 1)
     w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64), exps)
     tables = _kernels.half_tables(w * pow(d, -1, p) % p, p)
-    hist = _kernels.range_hist(tables, p, 0, 1 << d)
-    if hist[0]:
-        raise SqrtPolyError("family census counted the zero polynomial, "
-                            "which no family member gives")
-    counts = {degs[j]: int(n) for j, n in enumerate(hist[1:]) if n}
+    by_column = _hist_to_counts(_kernels.range_hist(tables, p, 0, 1 << d))
+    counts = {degs[j]: n for j, n in by_column.items()}
     return DegreeHistogram(counts, {"p": ctx.p, "s": ctx.s, "q": ctx.q,
                                     "family": f"alt-{d}", "shards": 1})
 
@@ -229,7 +226,7 @@ def orbit_divisibility_check(ctx: FieldCtx,
     p, r = ctx.p, ctx.r
     if not ells:
         raise ValidationError("orbit check needs at least one ell")
-    _kernels.check_side(r - r // 2)  # the largest family, d = r
+    _kernels.check_signs(r)  # the largest family, d = r
     exact: dict[int, int] = {}
     for d in family_orders(r):
         keep = []

@@ -38,11 +38,10 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
     fmt = getattr(args, "format", "table")
     if fmt == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        if csv_header:
-            w.writerow(csv_header)
+        w.writerow(csv_header)
         w.writerows(csv_rows)
         out = buf.getvalue()
     else:
@@ -212,16 +211,14 @@ def cmd_merge(args):
 
 
 def _ts_columns(ctx):
-    """TS histogram and rounded expectations, handling the s=1 monomial case."""
+    """TS histogram and rounded expectations (at s = 1: x^((p+1)/4) and -x^((p+1)/4))."""
+    hist = census_mod.family_census(ctx, ts.block_count(ctx))
     if ctx.s >= 2:
-        hist = census_mod.family_census(ctx, ts.block_count(ctx))
         expected = {row.degree: row.rounded
                     for row in heuristic.ts_expected_counts(ctx).rows}
     else:
-        deg = (ctx.p + 1) // 4
-        hist = census_mod.DegreeHistogram({deg: 2}, {"p": ctx.p, "family": "ts"})
         lam = Fraction(2 * (ctx.p - 1), ctx.p)
-        expected = {deg: heuristic.round_half_up(lam)}
+        expected = {(ctx.p + 1) // 4: heuristic.round_half_up(lam)}
     return hist, expected
 
 
@@ -288,11 +285,10 @@ def cmd_reproduce_tables(args):
     return 0
 
 
-def _add_common(sp, p_required=True):
-    if p_required:
-        sp.add_argument("--p", type=int, required=True, help="odd prime")
-    sp.add_argument("--format", choices=["table", "csv", "json"],
-                    default="table")
+def _add_common(sp, csv_rows=False):
+    sp.add_argument("--p", type=int, required=True, help="odd prime")
+    sp.add_argument("--format", default="table",
+                    choices=["table", "csv", "json"] if csv_rows else ["table", "json"])
     sp.add_argument("--out", help="write output to this path")
 
 
@@ -308,20 +304,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_ctx)
 
     sp = sub.add_parser("ts-family", help="enumerate the TS family")
-    _add_common(sp)
+    _add_common(sp, csv_rows=True)
     sp.add_argument("--dump", action="store_true",
                     help="list every polynomial regardless of family size")
     sp.set_defaults(fn=cmd_ts_family)
 
     sp = sub.add_parser("census", help="full 2^r degree census")
-    _add_common(sp)
+    _add_common(sp, csv_rows=True)
     sp.add_argument("--shards", type=int, default=1)
     sp.add_argument("--shard", help="i/N: compute only one shard")
     sp.add_argument("--max-r", type=int, default=None)
     sp.set_defaults(fn=cmd_census)
 
     sp = sub.add_parser("family-census", help="census of an alternating-order family")
-    _add_common(sp)
+    _add_common(sp, csv_rows=True)
     sp.add_argument("--d", type=int, required=True)
     sp.set_defaults(fn=cmd_family_census)
 

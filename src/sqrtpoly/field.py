@@ -15,6 +15,7 @@ from .errors import EvenInput, NotAResidue, NotPrime, OrderDoesNotDivide, TooLar
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+GAMMA_TABLE_CAP = 28  # the gamma^j table holds at most 2^28 int64 entries (2 GiB)
 
 
 def is_prime(n: int) -> bool:
@@ -124,15 +125,16 @@ class FieldCtx:
         """Read-only numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).
 
         One table serves every context of p: _modmat._TABLES keeps it with
-        the power tables.  Products of two entries are exact in int64 while
-        p^2 < 2^63; larger p raise TooLarge before anything is allocated
-        (the table alone would then hold more than 3e9 entries).
+        the power tables.  A table of more than 2^GAMMA_TABLE_CAP entries
+        raises TooLarge before anything is allocated, so p^2 < 2^57 and
+        products of two entries are exact in int64.
         """
         from ._modmat import _TABLES
 
         p = self.p
-        if (p - 1) ** 2 >= 1 << 63:
-            raise TooLarge(f"gamma^j table for p={p}: products of residues overflow int64")
+        if p - 1 > 1 << GAMMA_TABLE_CAP:
+            raise TooLarge(f"gamma^j table for p={p}: {p - 1} entries exceed "
+                           f"the cap 2^{GAMMA_TABLE_CAP}")
         return _TABLES.keep((p, "gamma"), lambda: _gamma_table(p, self.gamma))
 
     @cached_property

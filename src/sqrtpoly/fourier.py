@@ -150,7 +150,7 @@ def count_vanishing_bruteforce(ctx: FieldCtx, d: int, ell: int,
     at ell * e.  A join side past the join cap (d > 52) is refused with
     TooLarge.
     """
-    _kernels.check_side(d - d // 2)
+    _kernels.check_signs(d)
     p = ctx.p
     w = pow(root_of_unity(ctx, 2 * d), ell % (2 * d), p)
     lo, hi = (0, 1 << d) if shard is None else _kernels.shard_range(d, *shard)

@@ -150,22 +150,15 @@ def predicted_min_degree(ctx: FieldCtx) -> MinDegreePrediction:
     n_a = _max_n(2 ** (d_ts - s + 1), p, max_rows)
     ts_a = r - (q - 1) // 2 - q * n_a
 
-    # lambda_n >= 1/2  <=>  2 (p-1) 2^d >= p^(n+1)
-    n_b = 0
-    while (n_b < max_rows
-           and 2 * (p - 1) * 2 ** d_ts >= p ** (n_b + 2)):
-        n_b += 1
+    # lambda_n >= 1/2  <=>  2 (p-1) 2^d >= p^(n+1)  <=>  p^n <= 2 (p-1) 2^d // p
+    n_b = _max_n(2 * (p - 1) * 2 ** d_ts // p, p, max_rows)
     ts_b = r - (q - 1) // 2 - q * n_b
 
     per_family: dict[int, int] = {}
     for d in family_orders(r):
         big_d = r // d
         # floor((d - log2 d)/log2 p): largest n with d * p^n <= 2^d
-        n = 0
-        v = d * p
-        while n < d - 1 and v <= 2 ** d:
-            n += 1
-            v *= p
+        n = _max_n(2 ** d // d, p, d - 1)
         per_family[d] = r - (big_d - 1) // 2 - big_d * n
     return MinDegreePrediction(global_min=min(per_family.values()),
                                ts_model_a=ts_a, ts_model_b=ts_b,

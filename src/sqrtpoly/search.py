@@ -25,9 +25,9 @@ _kernels.join_sort; a run at the best prefix counts once in bucket 0 and
 (p-1)/g times elsewhere, and the representatives are listed from the
 joined buckets, shifted.  When no pair shares its top coefficient
 (p = 5, 13), all 4^m pairs attain the minimum, read off the two families
-sorted whole.  check_side refuses a join side of more than 2^26 rows
-before it is gathered: the search reaches p = 113, and refuses p = 137
-from m alone, before any table is built.
+sorted whole.  check_side refuses a join side of more than 2^26 rows,
+counted before they are gathered: the search reaches p = 113, and
+refuses p = 137 from m alone, before any table is built.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
     if ctx.s < 2 or not (0 <= k <= ctx.s - 2):
         raise LevelOutOfRange(f"level {k} not in [0, {ctx.s - 2}]")
     m = (1 << k) * ctx.q
-    _kernels.check_side(m)
+    _kernels.check_side(1 << m)
     weights = _family_weights(ctx, k) * shift_scales(ctx, i, m) % ctx.p
     pair = _kernels.sign_pair(weights, ctx.p)
     return LevelFamily(level=k, block=i, modulus=m,
@@ -136,11 +136,6 @@ def _top_orbits(m: int) -> int:
     return 2 * math.gcd(m, 3)
 
 
-def _check_rows(rows: int):
-    """_kernels.check_side for a join side of `rows` rows."""
-    _kernels.check_side(max(rows - 1, 0).bit_length())
-
-
 def _bucket_rows(fams: tuple, tops: np.ndarray, p: int) -> tuple:
     """The members of both families whose top value is in tops, as rows.
 
@@ -164,7 +159,7 @@ def _bucket_rows(fams: tuple, tops: np.ndarray, p: int) -> tuple:
     per_u = size.sum(axis=1)
     first = per_u.cumsum() - per_u
     n_a, n = int(first[len(hi_a)]), int(first[-1] + per_u[-1])
-    _check_rows(max(n_a, n - n_a))
+    _kernels.check_side(max(n_a, n - n_a))
     rows = np.empty((n, hi.shape[1]), dtype=dtype)
     step = max(1, len(hi) * _kernels._BLOCK_ROWS // max(n, 1))
     for u in range(0, len(hi), step):
@@ -174,19 +169,6 @@ def _bucket_rows(fams: tuple, tops: np.ndarray, p: int) -> tuple:
         block += hi[u:u + step].repeat(per_u[u:u + step], axis=0)
         np.minimum(block, block - block.dtype.type(p), out=block)
     return rows[:n_a], rows[n_a:]
-
-
-def _lex_order(*tables: np.ndarray) -> np.ndarray:
-    """The order of the rows of tables side by side, each top column first.
-
-    The rows are compared as big-endian bytes, tables[0]'s top column
-    first and tables[-1]'s column 0 last, eight bytes to a sort key.
-    """
-    key = np.concatenate([t[:, ::-1] for t in tables], axis=1)
-    key = key.astype(key.dtype.newbyteorder(">")).view(np.uint8)
-    padded = np.zeros((len(key), -(-key.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, :key.shape[1]] = key
-    return np.lexsort(padded.view(">u8").T[::-1])
 
 
 def _bucket_pairs(ctx: FieldCtx, rows: tuple, order, src, runs, top, count: int,
@@ -221,7 +203,8 @@ def _bucket_pairs(ctx: FieldCtx, rows: tuple, order, src, runs, top, count: int,
     scale = scales[shift[ts]].repeat(per_top[ts], axis=0)
     a_rows = (rows[0][a_at[at]] * scale % p).astype(rows[0].dtype)
     b_rows = (rows[1][b_at[at]] * scale % p).astype(rows[1].dtype)
-    keep = _lex_order(a_rows, b_rows)[:want]
+    # lexsort's last key is the primary one: a's top column first, b's column 0 last
+    keep = np.lexsort(np.hstack([b_rows, a_rows]).T)[:want]
     return a_rows[keep], b_rows[keep]
 
 
@@ -241,7 +224,7 @@ def minimal_search(ctx: FieldCtx,
     orbit = (p - 1) // g
     # the 2^m members of a family lie in bucket 0 and in orbits of `orbit`
     # buckets, each as full as its joined one: at least 2^m / orbit are joined
-    _check_rows(-(-(1 << m) // orbit))
+    _kernels.check_side(-(-(1 << m) // orbit))
     marks = [time.perf_counter()]  # the end of each of _STAGES in turn
     fams = _search_pairs(ctx)
     marks.append(time.perf_counter())
@@ -276,7 +259,7 @@ def minimal_search(ctx: FieldCtx,
     else:
         # no pair agrees on its top coefficient, so all pairs are minimizers,
         # in the order of the two families sorted whole
-        _kernels.check_side(m)
+        _kernels.check_side(1 << m)
         order, src, lcp = _kernels.join_sort(*fams, p)
         at = _kernels.run_pairs(order, src, _kernels.scan_runs(lcp, src, 0), want)
         a_rows, b_rows = (_kernels.pair_rows(f, x, p) for f, x in zip(fams, at))

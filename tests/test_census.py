@@ -77,7 +77,7 @@ def test_census_shard_joins_only_its_rows(monkeypatch, ctx29):
 
 def test_census_range_exactness_check(monkeypatch, ctx13):
     # a join that loses a pair must be refused, not reported: through a
-    # shard, and through full_census
+    # shard, through full_census and through family_census
     real = census._kernels.join_hist
 
     def lossy(a, b, p):
@@ -90,6 +90,8 @@ def test_census_range_exactness_check(monkeypatch, ctx13):
         census.census_shard(ctx13, 0, 1)
     with pytest.raises(census.SqrtPolyError, match="counted"):
         full_census(make_field_ctx(19))
+    with pytest.raises(census.SqrtPolyError, match="counted"):
+        census.family_census(ctx13, 2)
     with pytest.raises(census.SqrtPolyError, match="zero polynomial"):
         census._hist_to_counts(np.array([1, 0, 2]))
     with pytest.raises(census.SqrtPolyError, match="-1 vectors of degree 2"):
@@ -160,6 +162,21 @@ def test_census_refuses_oversized_joins_before_any_table(monkeypatch, p):
         full_census(ctx, max_r=p)
     with pytest.raises(TooLarge, match="cap"):
         census.census_shard(ctx, 0, 4, max_r=p)
+
+
+def test_join_cap_boundary():
+    # a side of 2^JOIN_CAP rows is joined, one more row is refused; d signs
+    # make a side of 2^(d - d // 2) rows, so d = 2 JOIN_CAP + 1 is the first refused
+    cap = _kernels.JOIN_CAP
+    _kernels.check_side(1 << cap)
+    _kernels.check_signs(2 * cap)
+    with pytest.raises(TooLarge, match=f"a join side of {(1 << cap) + 1} rows"):
+        _kernels.check_side((1 << cap) + 1)
+    with pytest.raises(TooLarge, match=f"a join side of {1 << cap + 1} rows"):
+        _kernels.check_signs(2 * cap + 1)
+    # past 2^64 rows the side is named by its power of two, not built
+    with pytest.raises(TooLarge, match="2\\^64 or more rows"):
+        _kernels.check_signs(1 << 40)
 
 
 def test_census_memory_is_the_keys():

@@ -102,6 +102,17 @@ def test_removed_options_are_rejected():
         assert exc.value.code == 2
 
 
+def test_csv_only_where_there_are_csv_rows():
+    # csv is offered on ts-family, census and family-census only; elsewhere
+    # argparse refuses it rather than printing the table format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minimal", "--p", "41", "--format", "csv"])
+    assert exc.value.code == 2
+    parse = cli.build_parser().parse_args
+    for argv in (["ts-family"], ["census"], ["family-census", "--d", "2"]):
+        assert parse([*argv, "--p", "13", "--format", "csv"]).format == "csv"
+
+
 def test_merge_refuses_mixed_primes(capsys, tmp_path):
     paths = []
     for p in (29, 37):
@@ -248,6 +259,10 @@ def test_exit_code_resource_cap():
     assert cli.main(["census", "--p", "67", "--max-r", "30"]) == 3
     # r = 56: a join side of 2^28 rows, past the join cap
     assert cli.main(["census", "--p", "113", "--max-r", "60"]) == 3
+    # p = 10^9 + 7: a gamma^j table of 10^9 entries is refused, not built
+    assert cli.main(["family-census", "--p", "1000000007", "--d", "1"]) == 3
+    # m = 25012: a side of 2^24996 rows or more is named by its power of two
+    assert cli.main(["minimal", "--p", "100049"]) == 3
 
 
 def test_reproduce_tables_cap_default():

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqrtpoly import canonical_sqrt, field, legendre, make_field_ctx, root_of_unity
+from sqrtpoly import (_modmat, canonical_sqrt, field, legendre, make_field_ctx,
+                      root_of_unity)
 from sqrtpoly.errors import (EvenInput, NotAResidue, NotPrime,
                              OrderDoesNotDivide, TooLarge)
 from sqrtpoly.field import FieldCtx, is_prime, prime_factors
@@ -152,6 +154,22 @@ def test_fresh_contexts_of_one_prime_share_one_gamma_table(monkeypatch):
 def test_gamma_powers_refuse_int64_overflow():
     with pytest.raises(TooLarge):
         make_field_ctx((1 << 61) - 1).gamma_powers
+
+
+def test_gamma_powers_refuse_a_table_past_the_cap(monkeypatch):
+    # p = 10^9 + 7: 10^9 entries (8 GB) are refused before any is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="cap 2\\^28"):
+            make_field_ctx(1000000007).gamma_powers
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # p = 10^8 + 7 is under the cap and reaches the builder (a stub here)
+    monkeypatch.setattr(_modmat, "_TABLES", _modmat._TableCache())
+    monkeypatch.setattr(field, "_gamma_table", lambda p, gamma: np.arange(3))
+    assert make_field_ctx(100000007).gamma_powers.tolist() == [0, 1, 2]
 
 
 def test_prime_factors():

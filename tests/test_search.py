@@ -69,7 +69,7 @@ def test_build_level_errors(ctx41):
 
 def test_search_refuses_p137_before_any_table(monkeypatch):
     # the first prime past the join cap is refused from m alone: nothing of
-    # the 2^28.5 joined rows a side, nor the weights or a sign table, is built
+    # the 2^34 / 68 joined rows a side, nor the weights or a sign table, is built
     def refuse(*args):
         raise AssertionError("a weight matrix or a sign table was built")
 
@@ -78,7 +78,7 @@ def test_search_refuses_p137_before_any_table(monkeypatch):
     ctx = make_field_ctx(137)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="2\\^28 rows"):
+        with pytest.raises(TooLarge, match="a join side of 252645136 rows"):
             minimal_search(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -93,7 +93,7 @@ def test_search_asks_the_cap_about_the_joined_rows(monkeypatch):
     monkeypatch.setattr(_kernels, "JOIN_CAP", 17)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="2\\^18 rows"):
+        with pytest.raises(TooLarge, match="a join side of 141382 rows"):
             minimal_search(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
