@@ -18,14 +18,16 @@ full_census and orbit_divisibility_check, d in family_census, past 52)
 before its weights or any table is built.  An explicit max_r refuses
 less than that; none is applied by default.
 
-full_census joins the r coefficients.  family_census joins the d
-coefficients that the alternating-periodic subfamily can reach:
-orthogonality leaves only one residue class of positions mod r/d.  The
-same join over one column counts vanishing half sums
-(fourier.count_vanishing_bruteforce), and over one column per ell and
-the d signs of an alternating family it counts the family's joint
-vanishing words, from which orbit_divisibility_check takes the class of
-each sigma-orbit order.
+Each family's weights, c_k = sum_n eps_n w[n, k], come in closed form
+from fourier.sign_weights.  full_census joins the r coefficients.
+family_census joins the d coefficients that the alternating-periodic
+subfamily can reach: orthogonality leaves only one residue class of
+positions mod r/d.  The same join over one column counts vanishing half
+sums (fourier.count_vanishing_bruteforce, whose column is built by pow,
+as it runs at primes past the gamma^j table), and over one column per
+ell and the d signs of an alternating family it counts the family's
+joint vanishing words, from which orbit_divisibility_check takes the
+class of each sigma-orbit order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _modmat
+from . import _kernels, _modmat, fourier
 from .errors import InvalidDivisor, SqrtPolyError, TooLarge, ValidationError
 from .field import FieldCtx
 from .signs import SignVector
@@ -96,17 +98,9 @@ class DegreeHistogram:
 CSV_HEADER = ["p", "s", "q", "degree", "count", "family", "shard_count"]
 
 
-def _coeff_weights(ctx: FieldCtx) -> np.ndarray:
-    """w[n, k] = (1/r) * gamma^(n(1-2k)) mod p, so c_k = sum_n eps_n w[n, k]."""
-    p, r = ctx.p, ctx.r
-    ns = np.arange(r, dtype=np.int64)
-    ks = (1 - 2 * np.arange(r, dtype=np.int64)) % (p - 1)
-    return _modmat.power_block(ctx, ns, ks) * pow(r, -1, p) % p
-
-
 def _delta_table(ctx: FieldCtx) -> np.ndarray:
     """delta[n, k] = (2/r) * gamma^(n(1-2k)) mod p: c_k's step as eps_n flips."""
-    return 2 * _coeff_weights(ctx) % ctx.p
+    return 2 * fourier.sign_weights(ctx, ctx.r, 1 - 2 * np.arange(ctx.r)) % ctx.p
 
 
 def _seed_coeffs(ctx: FieldCtx, word: int) -> np.ndarray:
@@ -125,22 +119,17 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
                 max_r: int | None = None) -> DegreeHistogram:
     """Exact degree histogram of f_eps over all eps in E_r.
 
-    Shard i of N covers the Gray indices [2^r i // N, 2^r (i+1) // N), as
-    census_shard does, and every shard must count exactly its range.
-    threads is accepted and ignored: the join runs in numpy.
+    The merge of census_shard(ctx, i, N) over the N shards, each of which
+    must count exactly its range.  threads is accepted and ignored: the
+    join runs in numpy.
     """
     _check_cap(ctx.r, max_r)
-    r = ctx.r
-    total = 1 << r
+    total = 1 << ctx.r
     shards = max(1, min(shards, total))
-    tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
-    hist = np.zeros(r + 1, dtype=np.int64)
+    out = DegreeHistogram({}, {"p": ctx.p, "s": ctx.s, "q": ctx.q, "family": "all",
+                               "shards": shards})
     for i in range(shards):
-        lo, hi = _kernels.shard_range(r, i, shards)
-        hist += _kernels.range_hist(tables, ctx.p, lo, hi)
-    out = DegreeHistogram(_hist_to_counts(hist),
-                          {"p": ctx.p, "s": ctx.s, "q": ctx.q, "family": "all",
-                           "shards": shards})
+        out = out.merge(census_shard(ctx, i, shards, max_r))
     if out.total != total:
         raise SqrtPolyError(f"census counted {out.total} of {total} vectors")
     return out
@@ -148,11 +137,16 @@ def full_census(ctx: FieldCtx, shards: int = 1, threads: int = 1,
 
 def census_shard(ctx: FieldCtx, index: int, count: int,
                  max_r: int | None = None) -> DegreeHistogram:
-    """Degree histogram of shard index of count, as full_census splits it."""
+    """Degree histogram of shard index of count, as full_census splits it.
+
+    The shard covers the Gray indices [2^r index // count,
+    2^r (index+1) // count).
+    """
     _check_cap(ctx.r, max_r)
-    lo, hi = _kernels.shard_range(ctx.r, index, count)
-    tables = _kernels.half_tables(_coeff_weights(ctx), ctx.p)
-    hist = _kernels.range_hist(tables, ctx.p, lo, hi)
+    r = ctx.r
+    lo, hi = _kernels.shard_range(r, index, count)
+    weights = fourier.sign_weights(ctx, r, 1 - 2 * np.arange(r))
+    hist = _kernels.range_hist(_kernels.half_tables(weights, ctx.p), ctx.p, lo, hi)
     return DegreeHistogram(_hist_to_counts(hist),
                            {"p": ctx.p, "s": ctx.s, "q": ctx.q,
                             "family": "all", "shard": [index, count],
@@ -170,9 +164,25 @@ def _hist_to_counts(hist: np.ndarray) -> dict[int, int]:
 
 
 def family_admissible_degrees(ctx: FieldCtx, d: int) -> list[int]:
-    """Degrees r - (D-1)/2 - tD, t = 0..d-1, descending (D = r/d odd)."""
+    """Degrees r - (D-1)/2 - tD, t = 0..d-1, descending (D = r/d odd).
+
+    At D = 1 the list is r, r-1, ..., 1: degree r stands for x^0, which
+    is x^r on S, so the order-r family reads a polynomial with c_0 != 0 as
+    of degree r, where its Poly.degree is below r.
+    """
     big_d = ctx.r // d
     return [ctx.r - (big_d - 1) // 2 - t * big_d for t in range(d)]
+
+
+def alternating_weights(ctx: FieldCtx, d: int) -> tuple[list[int], np.ndarray]:
+    """The order-d family's admissible degrees, ascending, and its weights.
+
+    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)) is the coefficient at the
+    t-th degree of the member eps_{dx+y} = (-1)^x h_y, and sign_weights
+    gives it as column t.
+    """
+    degs = family_admissible_degrees(ctx, d)[::-1]
+    return degs, fourier.sign_weights(ctx, d, 1 - 2 * np.asarray(degs))
 
 
 def _check_family_divisor(ctx: FieldCtx, d: int):
@@ -186,18 +196,18 @@ def family_census(ctx: FieldCtx, d: int) -> DegreeHistogram:
     """Degree histogram over the 2^d block-sign choices of the order-d family.
 
     Orthogonality puts all nonzero coefficients in one residue class mod
-    D, so only d coefficients c_{k_t} need computing, and
-    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)).  Their columns go in
-    ascending degree, so the join's top column is the highest degree.
-    d is capped by the join cap, as r in full_census.
+    D, so only the d coefficients of alternating_weights need computing.
+    Their columns go in ascending degree, so the join's top column is the
+    highest degree.  A member's degree is the highest admissible degree
+    whose coefficient is nonzero: at D = 1 (the TS family when q = 1) that
+    is r whenever c_0 != 0 (family_admissible_degrees).  d is capped by
+    the join cap, as r in full_census.
     """
     _check_family_divisor(ctx, d)
     _kernels.check_signs(d)
     p = ctx.p
-    degs = family_admissible_degrees(ctx, d)[::-1]  # ascending
-    exps = (1 - 2 * np.asarray(degs, dtype=np.int64)) % (p - 1)
-    w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64), exps)
-    tables = _kernels.half_tables(w * pow(d, -1, p) % p, p)
+    degs, w = alternating_weights(ctx, d)
+    tables = _kernels.half_tables(w, p)
     by_column = _hist_to_counts(_kernels.range_hist(tables, p, 0, 1 << d))
     counts = {degs[j]: n for j, n in by_column.items()}
     return DegreeHistogram(counts, {"p": ctx.p, "s": ctx.s, "q": ctx.q,
@@ -234,8 +244,7 @@ def orbit_divisibility_check(ctx: FieldCtx,
             g = -pow(ctx.gamma, d * ell % (p - 1), p)
             if sum(pow(g, x, p) for x in range(r // d)) % p:
                 keep.append(ell % (p - 1))
-        w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64),
-                                np.asarray(keep, dtype=np.int64))
+        w = fourier.sign_weights(ctx, d, keep)
         vanish = int(_kernels.range_hist(_kernels.half_tables(w, p), p, 0, 1 << d)[0])
         exact[d] = vanish - sum(n for e, n in exact.items() if d % e == 0)
     by_order = {2 * d: n for d, n in exact.items() if n}

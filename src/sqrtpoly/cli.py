@@ -168,14 +168,23 @@ def cmd_minimal(args):
 
 
 def _read_poly(ctx, args):
-    if args.poly:
-        text = args.poly
-    elif args.poly_file:
-        with open(args.poly_file) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    return poly.from_coeffs(ctx, json.loads(text))
+    """The JSON array of integer coefficients of --poly, --poly-file or stdin."""
+    try:
+        if args.poly:
+            text = args.poly
+        elif args.poly_file:
+            with open(args.poly_file) as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+        coeffs = json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read the polynomial: {exc}") from None
+    # bool is an int subclass, and a float would be truncated
+    if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+        raise ValidationError("a polynomial is a JSON array of integers")
+    ctx.check_gamma_table()  # before the r-entry coefficient list
+    return poly.from_coeffs(ctx, coeffs)
 
 
 def cmd_verify(args):
@@ -203,8 +212,12 @@ def cmd_decompose(args):
 def cmd_merge(args):
     merged = None
     for path in args.inputs:
-        with open(path) as fh:
-            hist = census_mod.DegreeHistogram.from_json(json.load(fh))
+        try:
+            with open(path) as fh:
+                hist = census_mod.DegreeHistogram.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"{path} is not a histogram file: "
+                                  f"{type(exc).__name__}: {exc}") from None
         merged = hist if merged is None else merged.merge(hist)
     _emit(args, merged.to_json())
     return 0

@@ -120,21 +120,29 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
+    def check_gamma_table(self):
+        """Refuse, with TooLarge, a p whose gamma^j table exceeds 2^GAMMA_TABLE_CAP entries.
+
+        Every r-entry list or table at p needs that table, so a caller
+        that builds one asks this first.  Under the cap p^2 < 2^57, and
+        products of two entries are exact in int64.
+        """
+        if self.p - 1 > 1 << GAMMA_TABLE_CAP:
+            raise TooLarge(f"gamma^j table for p={self.p}: {self.p - 1} entries "
+                           f"exceed the cap 2^{GAMMA_TABLE_CAP}")
+
     @cached_property
     def gamma_powers(self):
         """Read-only numpy table gamma^j for 0 <= j < p-1 (lazy; used by vectorized paths).
 
         One table serves every context of p: _modmat._TABLES keeps it with
-        the power tables.  A table of more than 2^GAMMA_TABLE_CAP entries
-        raises TooLarge before anything is allocated, so p^2 < 2^57 and
-        products of two entries are exact in int64.
+        the power tables.  check_gamma_table refuses a p past the cap
+        before anything is allocated.
         """
         from ._modmat import _TABLES
 
         p = self.p
-        if p - 1 > 1 << GAMMA_TABLE_CAP:
-            raise TooLarge(f"gamma^j table for p={p}: {p - 1} entries exceed "
-                           f"the cap 2^{GAMMA_TABLE_CAP}")
+        self.check_gamma_table()
         return _TABLES.keep((p, "gamma"), lambda: _gamma_table(p, self.gamma))
 
     @cached_property

@@ -67,16 +67,18 @@ def signs_from_poly(ctx: FieldCtx, f: Poly) -> SignVector:
     return SignVector(int.from_bytes(minus.tobytes(), "little"), ctx.r)
 
 
-def subgroup_weights(ctx: FieldCtx, d: int) -> np.ndarray:
-    """w[n, k] = zeta_d^(n(m-k)) / d mod p with m = (d+1)/2, for n, k < d.
+def sign_weights(ctx: FieldCtx, n: int, exps) -> np.ndarray:
+    """w[j, k] = gamma^(j exps[k]) / n mod p for j < n: a sign family's weights.
 
-    c_k = sum_n eps_n w[n, k] are the coefficients of subgroup_coeffs;
-    the search's sign table of the 2^q members on mu_q multiplies by it.
+    The member with signs eps has coefficients c_k = sum_j eps_j w[j, k].
+    Every family is one of these: the census (n = r, exps 1 - 2k), the
+    order-d alternating family at its admissible degrees k (n = d, exps
+    1 - 2k), and the square-root polynomials on the order-M subgroup of S
+    that take eps_j gamma^((r/M) j) at gamma^(2 (r/M) j) (n = M, exps
+    (r/M)(1 - 2k)).
     """
-    m = (d + 1) // 2
-    exps = (m - np.arange(d, dtype=np.int64)) % d * ((ctx.p - 1) // d)
-    w = _modmat.power_block(ctx, np.arange(d, dtype=np.int64), exps)
-    return w * pow(d, -1, ctx.p) % ctx.p
+    w = _modmat.power_block(ctx, np.arange(n, dtype=np.int64), np.asarray(exps))
+    return w * pow(n, -1, ctx.p) % ctx.p
 
 
 def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:

@@ -99,20 +99,18 @@ def family_expected_counts(ctx: FieldCtx, d: int) -> HeuristicReport:
 
 
 def ts_expected_counts(ctx: FieldCtx) -> HeuristicReport:
-    """Expected TS counts (1 - 1/p) * 2^(2^{s-1}) / p^n at degrees r-(q-1)/2-nq."""
+    """Expected TS counts (1 - 1/p) * 2^(2^{s-1}) / p^n at degrees r-(q-1)/2-nq.
+
+    The degrees are the order-2^{s-1} family's, family_admissible_degrees.
+    """
     if ctx.s < 2:
         raise LevelOutOfRange("needs s >= 2")
-    p, q, r = ctx.p, ctx.q, ctx.r
-    d = block_count(ctx)
+    p, d = ctx.p, block_count(ctx)
     rows = []
-    deg = r - (q - 1) // 2
-    n = 0
-    while deg >= (q + 1) // 2:
+    for n, deg in enumerate(family_admissible_degrees(ctx, d)):
         val = Fraction((p - 1) * 2 ** d, p ** (n + 1))
         rows.append(HeuristicRow(deg, val, round_half_up(val)))
-        deg -= q
-        n += 1
-    return HeuristicReport("TS-lambda", {"p": p, "d": d, "D": q}, rows)
+    return HeuristicReport("TS-lambda", {"p": p, "d": d, "D": ctx.q}, rows)
 
 
 @dataclass(frozen=True)
@@ -141,25 +139,20 @@ def predicted_min_degree(ctx: FieldCtx) -> MinDegreePrediction:
     (1-1/p) 2^(2^{s-1}) / p^n >= 1/2.  The two genuinely disagree for
     some primes (e.g. p = 97: 44 vs 41); both are reported.
     """
-    p, q, r, s = ctx.p, ctx.q, ctx.r, ctx.s
+    p, r, s = ctx.p, ctx.r, ctx.s
     if s < 2:
         raise LevelOutOfRange("needs s >= 2")
     d_ts = block_count(ctx)
-    max_rows = (r - (q - 1) // 2 - (q + 1) // 2) // q  # keep degree >= (q+1)/2
+    ladder = family_admissible_degrees(ctx, d_ts)  # the TS degrees, descending
 
-    n_a = _max_n(2 ** (d_ts - s + 1), p, max_rows)
-    ts_a = r - (q - 1) // 2 - q * n_a
-
+    ts_a = ladder[_max_n(2 ** (d_ts - s + 1), p, len(ladder) - 1)]
     # lambda_n >= 1/2  <=>  2 (p-1) 2^d >= p^(n+1)  <=>  p^n <= 2 (p-1) 2^d // p
-    n_b = _max_n(2 * (p - 1) * 2 ** d_ts // p, p, max_rows)
-    ts_b = r - (q - 1) // 2 - q * n_b
+    ts_b = ladder[_max_n(2 * (p - 1) * 2 ** d_ts // p, p, len(ladder) - 1)]
 
     per_family: dict[int, int] = {}
     for d in family_orders(r):
-        big_d = r // d
         # floor((d - log2 d)/log2 p): largest n with d * p^n <= 2^d
-        n = _max_n(2 ** d // d, p, d - 1)
-        per_family[d] = r - (big_d - 1) // 2 - big_d * n
+        per_family[d] = family_admissible_degrees(ctx, d)[_max_n(2 ** d // d, p, d - 1)]
     return MinDegreePrediction(global_min=min(per_family.values()),
                                ts_model_a=ts_a, ts_model_b=ts_b,
                                per_family=per_family)

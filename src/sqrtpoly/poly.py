@@ -127,42 +127,26 @@ def is_sqrt_poly(ctx: FieldCtx, f: Poly) -> bool:
     return bool(np.all((ratios == 1) | (ratios == ctx.p - 1)))
 
 
-def crt_rows(ctx: FieldCtx, parts: np.ndarray) -> np.ndarray:
-    """glue_crt of many polynomials at once: (n, d, q) part coefficients in,
-    (n, r) coefficient rows out, d = 2^{s-1}.
-
-    Coefficient j + t q of row i is (1/d) sum_k parts[i, k, j] zeta^{-kt},
-    an inverse transform over the blocks: the ntt with e = -2q, since
-    zeta = gamma^{2q}.  A zero row transforms to a zero row, so only the
-    rows with a nonzero entry go through it.
-    """
-    p, q = ctx.p, ctx.q
-    n, d = len(parts), 1 << (ctx.s - 1)
-    cols = np.asarray(parts, dtype=np.int64).transpose(0, 2, 1).reshape(n * q, d)
-    live = np.flatnonzero(cols.any(axis=1))
-    out = np.zeros_like(cols)
-    if len(live):
-        out[live] = _modmat.ntt(ctx, cols[live], -2 * q) * pow(d, -1, p) % p
-    return out.reshape(n, q, d).transpose(0, 2, 1).reshape(n, ctx.r)
-
-
 def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:
     """Combine per-block polynomials f_k (degree < q) into one f on all of S.
 
     f is the unique polynomial of degree < r with f = f_k mod (x^q - zeta^k)
-    for every block k, by crt_rows.
+    for every block k: coefficient j + t q is (1/d) sum_k f_k[j] zeta^{-kt},
+    d = 2^{s-1}, an inverse transform over the blocks, the ntt with
+    e = -2q, since zeta = gamma^{2q}.
     """
     if ctx.s < 2:
         raise LevelOutOfRange(f"glue_crt needs s >= 2, got s = {ctx.s}")
-    q = ctx.q
+    p, q = ctx.p, ctx.q
     d = 1 << (ctx.s - 1)
     if len(parts) != d:
         raise WrongPartCount(f"expected {d} parts, got {len(parts)}")
     for f in parts:
         if f.degree != NEG_INF and f.degree >= q:
             raise DegreeTooLarge(f"part degree {f.degree} >= q = {q}")
-    rows = crt_rows(ctx, [[f.coeffs[:q] for f in parts]])
-    result = Poly(ctx, rows[0].tolist())
+    cols = np.array([f.coeffs[:q] for f in parts], dtype=np.int64).T
+    rows = _modmat.ntt(ctx, cols, -2 * q) * pow(d, -1, p) % p
+    result = Poly(ctx, rows.T.ravel().tolist())
     if check and not is_sqrt_poly(ctx, result):
         raise SqrtPolyError("glue_crt result is not a square-root polynomial")
     return result

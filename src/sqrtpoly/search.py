@@ -5,11 +5,11 @@ level-(s-2) blocks, and deg f = M + deg(f_0 - f_1), so the minimum is
 found by matching, highest degree first, the longest common prefix of a
 member of each of the two 2^m-member families, m = (p-1)/4.
 
-A family is the sign_table of its M_k x M_k weights, as a census is: at
-level 0 fourier.subgroup_weights, above it the partner's weights glued
-as 0 with them and the child's glued with 0, since poly.glue_rows is
-linear.  It is held as the sign_pair (P, Q) of its weights, of about
-2^((p-1)/8) rows each, whose member u * len(Q) + v is P[u] + Q[v] mod p.
+A family F_0^k, every square-root polynomial on the subgroup S_0^k of
+order M_k = 2^k q of S, is the sign_table of its M_k x M_k weights, as a
+census is, and fourier.sign_weights gives them in closed form.  It is
+held as the sign_pair (P, Q) of its weights, of about 2^((p-1)/8) rows
+each, whose member u * len(Q) + v is P[u] + Q[v] mod p.
 A block shift scales columns, so the second family is the first pair
 scaled.
 
@@ -55,7 +55,7 @@ class LevelFamily:
     level: int
     block: int
     modulus: int  # M_k = 2^k * q
-    members: np.ndarray  # (2^{M_k}, M_k), each row a poly of degree < M_k
+    members: np.ndarray  # (2^{M_k}, M_k), row w a poly of degree < M_k (_block_weights)
 
     def member_poly(self, ctx: FieldCtx, idx: int) -> Poly:
         return poly.from_coeffs(ctx, [int(v) for v in self.members[idx]])
@@ -79,22 +79,13 @@ class SearchReport:
         }
 
 
-def _family_weights(ctx: FieldCtx, k: int) -> np.ndarray:
-    """The M_k x M_k weights of F_0^k: member w is sign_table row w.
+def _block_weights(ctx: FieldCtx, m: int) -> np.ndarray:
+    """The m x m weights of F_0^k, m = M_k: member w is sign_table row w.
 
-    Level 0 is the subgroup_weights of mu_q.  Above it, the low M_(k-1)
-    signs pick a member b of the partner, the child shifted by
-    2^(s-1-k) blocks, and the high ones a member a of the child, and the
-    gluing of a with b is the sum of the gluings of 0 with b and of a
-    with 0.
+    Member w takes eps_j gamma^((r/m) j) at gamma^(2 (r/m) j), the points
+    of S_0^k, with eps_j = -1 where bit j of w is set.
     """
-    if k == 0:
-        return fourier.subgroup_weights(ctx, ctx.q)
-    child = _family_weights(ctx, k - 1)
-    shift = shift_scales(ctx, 1 << (ctx.s - 1 - k), child.shape[1])
-    zero = np.zeros_like(child)
-    return np.vstack([poly.glue_rows(ctx, zero, child * shift % ctx.p, k - 1, 0),
-                      poly.glue_rows(ctx, child, zero, k - 1, 0)])
+    return fourier.sign_weights(ctx, m, ctx.r // m * (1 - 2 * np.arange(m)))
 
 
 def build_level_zero(ctx: FieldCtx, i: int = 0) -> LevelFamily:
@@ -108,7 +99,7 @@ def build_level(ctx: FieldCtx, k: int, i: int = 0) -> LevelFamily:
         raise LevelOutOfRange(f"level {k} not in [0, {ctx.s - 2}]")
     m = (1 << k) * ctx.q
     _kernels.check_side(1 << m)
-    weights = _family_weights(ctx, k) * shift_scales(ctx, i, m) % ctx.p
+    weights = _block_weights(ctx, m) * shift_scales(ctx, i, m) % ctx.p
     pair = _kernels.sign_pair(weights, ctx.p)
     return LevelFamily(level=k, block=i, modulus=m,
                        members=_kernels.pair_rows(pair, np.arange(1 << m), ctx.p))
@@ -120,8 +111,9 @@ def _search_pairs(ctx: FieldCtx) -> tuple[tuple, tuple]:
     Each family has 2^m members, m = (p-1)/4.  The shift scales every
     column of every member, so it scales both tables of the first pair.
     """
-    fam_a = _kernels.sign_pair(_family_weights(ctx, ctx.s - 2), ctx.p)
-    scales = shift_scales(ctx, 1, (ctx.p - 1) // 4)
+    m = (ctx.p - 1) // 4
+    fam_a = _kernels.sign_pair(_block_weights(ctx, m), ctx.p)
+    scales = shift_scales(ctx, 1, m)
     return fam_a, tuple((t * scales % ctx.p).astype(t.dtype) for t in fam_a)
 
 
@@ -296,6 +288,7 @@ def min_degree_direct(ctx: FieldCtx) -> SearchReport:
     if ctx.p % 4 != 3:
         raise WrongResidue(f"p = {ctx.p} is 1 mod 4; use minimal_search")
     e = (ctx.p + 1) // 4
+    ctx.check_gamma_table()  # before the r-entry coefficient list
     f = monomial(ctx, 1, e)
     if not is_sqrt_poly(ctx, f):
         raise SqrtPolyError(f"x^{e} is not a square-root polynomial mod {ctx.p}")

@@ -3,7 +3,10 @@
 S splits into 2^{s-1} blocks S_i = {a in S : a^q = zeta^i}.  On each
 block the minimal square-root polynomial is the monomial
 zeta^{-k/2} x^{(q+1)/2}; choosing a sign per block and gluing by CRT
-gives the 2^{2^{s-1}} TS polynomials.
+gives the 2^{2^{s-1}} TS polynomials.  They are the order-2^{s-1}
+alternating family eps_{dx+y} = (-1)^x h_y, so their coefficients come
+without any gluing, from the family's closed-form weights
+(census.alternating_weights): one product with the block signs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly
+from . import _modmat, census
 from .errors import LevelOutOfRange, TooLarge
 from .field import FieldCtx
 from .poly import Poly
@@ -39,11 +42,6 @@ def block_choice_count(ctx: FieldCtx) -> int:
     return 1 << block_count(ctx)
 
 
-def block_constants(ctx: FieldCtx, ks) -> np.ndarray:
-    """tau^(-k) for the blocks k, tau = gamma^q, the branch zeta^(1/2)."""
-    return ctx.gamma_powers[-ctx.q * np.asarray(ks, dtype=np.int64) % (ctx.p - 1)]
-
-
 def shift_scales(ctx: FieldCtx, i: int, width: int) -> np.ndarray:
     """gamma^(i - 2ij) for j < width: the column scales of the block shift.
 
@@ -59,23 +57,19 @@ def shift_scales(ctx: FieldCtx, i: int, width: int) -> np.ndarray:
 def _ts_rows(ctx: FieldCtx, signs: np.ndarray) -> np.ndarray:
     """Coefficient rows of the TS polynomials of the rows of block signs.
 
-    Part k is h_k tau^(-k) x^e, e = (q+1)/2, reduced modulo its block's
-    x^q - zeta^k: x^e = zeta^(k (e // q)) x^(e mod q).  All parts go
-    through one batched CRT.
+    The block signs times the family's weights, placed at its admissible
+    degrees; at q = 1 degree r is x^0.
     """
     if ctx.s < 2:
         raise LevelOutOfRange("TS gluing needs s >= 2")
-    p, q = ctx.p, ctx.q
-    e = (q + 1) // 2
-    ks = np.arange(block_count(ctx), dtype=np.int64)
-    coeffs = block_constants(ctx, ks) * ctx.gamma_powers[2 * q * (e // q) * ks % (p - 1)]
-    parts = np.zeros((len(signs), len(ks), q), dtype=np.int64)
-    parts[:, :, e % q] = signs * coeffs % p
-    return poly.crt_rows(ctx, parts)
+    degs, w = census.alternating_weights(ctx, block_count(ctx))
+    rows = np.zeros((len(signs), ctx.r), dtype=np.int64)
+    rows[:, np.asarray(degs) % ctx.r] = _modmat.matmul_mod(signs, w, ctx.p)
+    return rows
 
 
 def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:
-    """Glue the signed block monomials into one polynomial on S."""
+    """The signed block monomials of choice, glued into one polynomial on S."""
     row = _ts_rows(ctx, choice.h.sign_array()[None])[0]
     return Poly(ctx, row.tolist())
 
@@ -95,35 +89,34 @@ def ts_sign_vector(ctx: FieldCtx, choice: TsChoice) -> SignVector:
 
 
 def ts_admissible_degrees(ctx: FieldCtx) -> list[int]:
-    """Descending degrees r - (q-1)/2 - n*q, truncated at the (p-1)/3 bound."""
+    """The order-2^{s-1} family's degrees r - (q-1)/2 - n*q above the (p-1)/3 bound.
+
+    At q = 1 they start at r, which stands for x^0, as in family_census.
+    """
     if ctx.s < 2:
         raise LevelOutOfRange("needs s >= 2")
-    out = []
-    deg = ctx.r - (ctx.q - 1) // 2
-    while 3 * deg > ctx.p - 1:
-        out.append(deg)
-        deg -= ctx.q
-    return out
+    degs = census.family_admissible_degrees(ctx, block_count(ctx))
+    return [deg for deg in degs if 3 * deg > ctx.p - 1]
 
 
 def enumerate_ts(ctx: FieldCtx, dump: bool = False):
     """Degree histogram over all 2^(2^{s-1}) block-sign choices.
 
     Returns (DegreeHistogram, polys) where polys is None unless dump=True.
-    The histogram is computed from the sparse coefficient formula
-    c_{k_t} = (1/d) sum_y h_y gamma^(y(1-2 k_t)); the dump path glues the
-    block monomials of every choice by one batched CRT (route agreement
-    is a tested invariant).  The histogram is refused only past the join
-    cap, the dump past ENUM_CAP blocks.
+    The histogram is family_census's over the 2^{s-1} block signs, the
+    dump one product of every choice with the same weights.  At q = 1
+    the histogram counts a polynomial with c_0 != 0 as of degree r
+    (family_admissible_degrees), where the dumped Poly's degree is below
+    r: at p = 17 it reads {7: 16, 8: 240} and the dump's degrees
+    {6: 16, 7: 240}.  The histogram is refused only past the join cap,
+    the dump past ENUM_CAP blocks.
     """
-    from .census import family_census
-
     if ctx.s < 2:
         raise LevelOutOfRange("needs s >= 2")
     d = block_count(ctx)
     if dump and d > ENUM_CAP:
         raise TooLarge(f"{d} blocks exceed enumeration cap {ENUM_CAP}")
-    hist = family_census(ctx, d)
+    hist = census.family_census(ctx, d)
     hist.meta["family"] = "ts"
     polys = None
     if dump:

@@ -84,6 +84,12 @@ def shift_members(ctx, members, i):
     return (members.astype(np.int64) * scales % ctx.p).astype(members.dtype)
 
 
+def block_constant(ctx, k):
+    """tau^(-k) for block k, tau = gamma^q, the branch zeta^(1/2), by pow."""
+    p = ctx.p
+    return pow(ctx.gamma, -ctx.q * k % (p - 1), p)
+
+
 def block_minimal_poly(ctx, k):
     """zeta^{-k/2} x^{(q+1)/2} on S_k, with the branch zeta^{1/2} := gamma^q."""
     from sqrtpoly import poly, ts
@@ -92,7 +98,20 @@ def block_minimal_poly(ctx, k):
     d = ts.block_count(ctx)
     if not (0 <= k < d):
         raise BlockOutOfRange(f"block {k} not in [0, {d})")
-    return poly.monomial(ctx, int(ts.block_constants(ctx, k)), (ctx.q + 1) // 2)
+    return poly.monomial(ctx, block_constant(ctx, k), (ctx.q + 1) // 2)
+
+
+def block_part(ctx, k, sign):
+    """sign * block_minimal_poly(ctx, k) reduced mod x^q - zeta^k, for glue_crt.
+
+    x^e = zeta^(k (e // q)) x^(e mod q) there; only q = 1 reduces.
+    """
+    from sqrtpoly import poly
+
+    p, q = ctx.p, ctx.q
+    e = (q + 1) // 2
+    c = sign * block_constant(ctx, k) * pow(ctx.zetaTS, k * (e // q), p)
+    return poly.monomial(ctx, c, e % q)
 
 
 def shift_family(ctx, f0, i):
@@ -157,15 +176,31 @@ def as_pair(rows, p):
     return rows, np.zeros((1, rows.shape[1]), dtype=rows.dtype)
 
 
+def subgroup_weights(ctx, d):
+    """w[n, k] = zeta_d^(n(m-k)) / d mod p with m = (d+1)/2, for n, k < d, by pow.
+
+    c_k = sum_n eps_n w[n, k] are the coefficients of
+    fourier.subgroup_coeffs, which take the canonical half root
+    a^((d+1)/2) on mu_d, d odd.
+    """
+    import numpy as np
+
+    p = ctx.p
+    zd, inv_d, m = pow(ctx.gamma, (p - 1) // d, p), pow(d, -1, p), (d + 1) // 2
+    return np.array([[pow(zd, n * (m - k) % d, p) * inv_d % p for k in range(d)]
+                     for n in range(d)], dtype=np.int64)
+
+
 def oracle_level_members(ctx, k):
     """F_0^k built in full: the dense sign table of mu_q, then glue upward.
 
     Level k + 1 glues every member of level k with every member of its
-    partner, level k shifted by 2^(s-2-k) blocks.
+    partner, level k shifted by 2^(s-2-k) blocks.  Its members are
+    search.build_level's in another order.
     """
-    from sqrtpoly import _kernels, fourier
+    from sqrtpoly import _kernels
 
-    members = _kernels.sign_table(fourier.subgroup_weights(ctx, ctx.q), ctx.p)
+    members = _kernels.sign_table(subgroup_weights(ctx, ctx.q), ctx.p)
     members = members.astype("uint8")
     for j in range(k):
         partner = shift_members(ctx, members, 1 << (ctx.s - 2 - j))

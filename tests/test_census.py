@@ -43,6 +43,26 @@ def test_full_census_sharding(ctx29):
     assert full_census(ctx29, shards=4, threads=4).counts == base
 
 
+def test_full_census_is_the_merge_of_its_shards(monkeypatch, ctx29):
+    # full_census(shards=N) sums census_shard(ctx, i, N) over i; its meta
+    # names N shards and no single shard
+    calls = []
+    shard = census.census_shard
+
+    def spy(ctx, index, count, max_r=None):
+        calls.append((index, count))
+        return shard(ctx, index, count, max_r)
+
+    monkeypatch.setattr(census, "census_shard", spy)
+    hist = full_census(ctx29, shards=5, threads=2)
+    assert calls == [(i, 5) for i in range(5)]
+    assert hist.counts == ALL_COUNTS[29]
+    assert hist.meta == {"p": 29, "s": 2, "q": 7, "family": "all", "shards": 5}
+    calls.clear()
+    assert full_census(make_field_ctx(3), shards=4).meta["shards"] == 2
+    assert calls == [(0, 2), (1, 2)]
+
+
 def test_census_shard_matches_gray_walk(ctx29):
     # every shard of an uneven split, against the Gray walk over its range
     merged = DegreeHistogram({})
@@ -156,7 +176,7 @@ def test_census_refuses_oversized_joins_before_any_table(monkeypatch, p):
         raise AssertionError("a weight matrix or a sign table was built")
 
     monkeypatch.setattr(_kernels, "sign_table", refuse)
-    monkeypatch.setattr(census, "_coeff_weights", refuse)
+    monkeypatch.setattr(fourier, "sign_weights", refuse)
     ctx = make_field_ctx(p)
     with pytest.raises(TooLarge, match="cap"):
         full_census(ctx, max_r=p)
@@ -307,7 +327,8 @@ def test_prefix_counts_matches_scan_runs_on_real_joins(p):
     m = ctx.r // 2
     assert np.array_equal(_kernels.prefix_counts(lcp, src, m),
                           segment_prefix_counts(lcp, src, m))
-    a, b, _ = _kernels.half_tables(census._coeff_weights(ctx), p)
+    a, b, _ = _kernels.half_tables(
+        fourier.sign_weights(ctx, ctx.r, 1 - 2 * np.arange(ctx.r)), p)
     _, src, lcp = _kernels.join_sort(a, b, p)
     assert np.array_equal(_kernels.prefix_counts(lcp, src, ctx.r),
                           segment_prefix_counts(lcp, src, ctx.r))

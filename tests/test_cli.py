@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -263,6 +264,56 @@ def test_exit_code_resource_cap():
     assert cli.main(["family-census", "--p", "1000000007", "--d", "1"]) == 3
     # m = 25012: a side of 2^24996 rows or more is named by its power of two
     assert cli.main(["minimal", "--p", "100049"]) == 3
+
+
+@pytest.mark.parametrize("text", ["[1.5]", "[1e30]", "[true]", "[[1,2]]", '{"a":1}',
+                                  '"abc"', "[null]", "[1,", "not json"])
+def test_malformed_poly_exits_2(capsys, text):
+    # a float would be truncated and a non-list read as one; exit 2, no traceback
+    for cmd in ("verify", "decompose"):
+        assert cli.main([cmd, "--p", "13", "--poly", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_poly_of_any_integer_size_is_read(capsys):
+    # JSON integers of any size are reduced mod p, as before
+    obj = run_json(capsys, ["verify", "--p", "13", "--poly", f"[{13 ** 30 + 1}]"])
+    assert obj["poly"] == "1"
+
+
+def test_missing_poly_file_exits_2(capsys, tmp_path):
+    assert cli.main(["verify", "--p", "13", "--poly-file", str(tmp_path / "f.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_merge_input_exits_2(capsys, tmp_path):
+    bad = {"text.json": "not json", "nocounts.json": json.dumps({"meta": {}}),
+           "list.json": "[1, 2]", "badcount.json": json.dumps({"counts": {"a": "1"}})}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+        assert cli.main(["merge", str(tmp_path / name)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+    assert cli.main(["merge", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--poly", "[1]"],
+                                  ["decompose", "--poly", "[1]"], ["minimal"]])
+def test_refuse_past_the_table_cap_before_any_list(monkeypatch, capsys, argv):
+    # p = 10^9 + 7 (3 mod 4): the r-entry coefficient list would be 4 GB;
+    # the builders are stubbed, so the list cannot be built even if asked for
+    def refuse(*args):
+        raise AssertionError("an r-entry coefficient list was built")
+
+    monkeypatch.setattr(cli.poly, "from_coeffs", refuse)
+    monkeypatch.setattr(cli.search, "monomial", refuse)
+    tracemalloc.start()
+    try:
+        assert cli.main([argv[0], "--p", "1000000007", *argv[1:]]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "cap 2^28" in capsys.readouterr().err
+    assert peak < 1 << 20, peak
 
 
 def test_reproduce_tables_cap_default():

@@ -59,6 +59,21 @@ def test_coeffs_from_signs_random(ctx41):
                 eps.sign(n) * pow(g, n, p) % p
 
 
+@pytest.mark.parametrize("p", [13, 41, 97])
+def test_sign_weights_give_the_census_coefficients(p):
+    # w[j, k] = gamma^(j (1 - 2k)) / r: eps @ w is the ntt route's coefficients
+    ctx = make_field_ctx(p)
+    r = ctx.r
+    w = fourier.sign_weights(ctx, r, [1 - 2 * k for k in range(r)])
+    assert w.shape == (r, r)
+    rng = random.Random(p)
+    for word in (0, (1 << r) - 1, *(rng.getrandbits(r) for _ in range(8))):
+        eps = SignVector(word, r)
+        want = fourier.coeffs_from_signs(ctx, eps).coeffs
+        assert [sum(e * int(x) for e, x in zip(eps.signs(), col)) % p
+                for col in w.T] == want
+
+
 def test_signs_roundtrip(ctx41):
     rng = random.Random(8)
     for _ in range(20):
@@ -100,13 +115,17 @@ def test_subgroup_coeffs_against_oracle(p):
                 want + [0] * (ctx.r - d)
 
 
-@pytest.mark.parametrize("p", [41, 73])
+@pytest.mark.parametrize("p", [13, 41, 73, 97])
 def test_base_members_are_subgroup_coeffs(p):
+    # member w takes eps_j gamma^(2^(s-1) j) at zeta_q^j, subgroup_coeffs the
+    # canonical root zeta_q^(j (q+1)/2) = (-1)^j gamma^(2^(s-1) j): the signs
+    # differ at odd j
     ctx = make_field_ctx(p)
     base = search.build_level_zero(ctx, 0).members
     assert base.shape == (1 << ctx.q, ctx.q)
+    odd_bits = sum(1 << j for j in range(1, ctx.q, 2))
     for w, row in enumerate(base.tolist()):
-        f = fourier.subgroup_coeffs(ctx, ctx.q, SignVector(w, ctx.q))
+        f = fourier.subgroup_coeffs(ctx, ctx.q, SignVector(w ^ odd_bits, ctx.q))
         assert f.coeffs == row + [0] * (ctx.r - ctx.q)
 
 

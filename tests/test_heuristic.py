@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sqrtpoly import heuristic, make_field_ctx
+from sqrtpoly import heuristic, make_field_ctx, ts
 from sqrtpoly.errors import LevelOutOfRange
+from sqrtpoly.field import is_prime
 from sqrtpoly.heuristic import (family_expected_counts, naive_expected_counts,
                                 predicted_min_degree, round_half_up,
                                 ts_expected_counts)
@@ -94,3 +95,21 @@ def test_predicted_min_degree():
     assert set(pred41.per_family) == {4, 20}  # divisors d of 20 with 20/d odd
     with pytest.raises(LevelOutOfRange):
         predicted_min_degree(make_field_ctx(11))
+
+
+def test_ts_degree_ladder_is_the_family_ladder():
+    # the TS degrees r - (q-1)/2 - nq, stepped by hand, against the three
+    # places that now read them off family_admissible_degrees(ctx, 2^(s-1))
+    for p in range(5, 5000, 4):
+        if not is_prime(p):
+            continue
+        ctx = make_field_ctx(p)
+        q, r = ctx.q, ctx.r
+        ladder = list(range(r - (q - 1) // 2, (q + 1) // 2 - 1, -q))
+        assert [row.degree for row in ts_expected_counts(ctx).rows] == ladder, p
+        assert ts.ts_admissible_degrees(ctx) == [k for k in ladder if 3 * k > p - 1], p
+        d, pred = ts.block_count(ctx), predicted_min_degree(ctx)
+        n_a = heuristic._max_n(2 ** (d - ctx.s + 1), p, len(ladder) - 1)
+        n_b = heuristic._max_n(2 * (p - 1) * 2 ** d // p, p, len(ladder) - 1)
+        assert (pred.ts_model_a, pred.ts_model_b) == \
+            (r - (q - 1) // 2 - q * n_a, r - (q - 1) // 2 - q * n_b), p

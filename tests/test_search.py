@@ -1,10 +1,11 @@
+import random
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqrtpoly import _kernels, make_field_ctx, poly, search
+from sqrtpoly import _kernels, fourier, make_field_ctx, poly, search, ts
 from sqrtpoly.census import full_census
 from sqrtpoly.errors import (LevelOutOfRange, NotASqrtPoly, SqrtPolyError,
                              TooLarge, WrongResidue)
@@ -74,7 +75,7 @@ def test_search_refuses_p137_before_any_table(monkeypatch):
         raise AssertionError("a weight matrix or a sign table was built")
 
     monkeypatch.setattr(_kernels, "sign_table", refuse)
-    monkeypatch.setattr(search, "_family_weights", refuse)
+    monkeypatch.setattr(fourier, "sign_weights", refuse)
     ctx = make_field_ctx(137)
     tracemalloc.start()
     try:
@@ -222,27 +223,43 @@ def _check_join_sort(a, b, p):
 def test_packed_key_order_matches_column_lexsort():
     ctx = make_field_ctx(53)  # 13 coefficients of 6 bits: two keys
     _check_join_sort(*oracle_families(ctx), ctx.p)
-    # the pairs sort as the rows they stand for
-    order, src, lcp = _kernels.join_sort(*search._search_pairs(ctx), ctx.p)
-    want = _kernels.join_sort(*(as_pair(f, ctx.p) for f in oracle_families(ctx)),
-                              ctx.p)
-    for x, y in zip((order, src, lcp), want):
-        assert np.array_equal(x, y)
+    # the pairs sort as the rows they stand for; the oracle lists the same
+    # members in another order, so the sorted rows, src and lcp agree
+    pairs = search._search_pairs(ctx)
+    order, src, lcp = _kernels.join_sort(*pairs, ctx.p)
+    oracle = oracle_families(ctx)
+    want_order, want_src, want_lcp = _kernels.join_sort(
+        *(as_pair(f, ctx.p) for f in oracle), ctx.p)
+    assert np.array_equal(src, want_src)
+    assert np.array_equal(lcp, want_lcp)
+    rows = np.vstack([_kernels.pair_rows(f, np.arange(_kernels._height(f)), ctx.p)
+                      for f in pairs])
+    assert np.array_equal(rows[order], np.vstack(oracle)[want_order])
 
 
 P_1_MOD_4 = (13, 17, 29, 37, 41, 53, 61, 73)  # s = 2, 3 and 4
+
+
+def sorted_rows(a):
+    """The rows of a in lexicographic order, column 0 first."""
+    return a[np.lexsort(a.T[::-1])]
 
 
 @pytest.mark.parametrize("p", P_1_MOD_4)
 def test_pair_keys_match_oracle_families(p):
     # the keys packed from the two pairs of half tables are the keys of
     # the families built in full, glued and shifted row by row
+    # (the same members in another order: each family's keys, without the
+    # row index in their low bits, agree as sorted lists)
     ctx = make_field_ctx(p)
     key, c, ibits = _kernels._packed_key(*search._search_pairs(ctx), p)
     want, want_c, want_ibits = _kernels._packed_key(
         *(as_pair(f, p) for f in oracle_families(ctx)), p)
     assert (c, ibits) == (want_c, want_ibits)
-    assert np.array_equal(key, want)
+    n_a = 1 << (p - 1) // 4
+    for x, y in ((key[:n_a], want[:n_a]), (key[n_a:], want[n_a:])):
+        assert np.array_equal(np.sort(x >> np.uint64(ibits)),
+                              np.sort(y >> np.uint64(ibits)))
 
 
 @pytest.mark.parametrize("p, levels", [*((p, None) for p in P_1_MOD_4), (97, 3)])
@@ -253,7 +270,40 @@ def test_build_level_matches_oracle(p, levels):
         for i in sorted({0, 1, (1 << (ctx.s - 1)) - 1}):
             fam = build_level(ctx, k, i)
             assert fam.members.dtype == members.dtype
-            assert np.array_equal(fam.members, shift_members(ctx, members, i)), (k, i)
+            want = shift_members(ctx, members, i)  # the same rows, in another order
+            assert np.array_equal(sorted_rows(fam.members), sorted_rows(want)), (k, i)
+
+
+@pytest.mark.parametrize("p", (5, *P_1_MOD_4))
+def test_members_follow_the_census_sign_convention(p):
+    # member w of F_0^k takes eps_j gamma^((r/M) j) at gamma^(2 (r/M) j),
+    # M = 2^k q, where bit j of w set means eps_j = -1: Horner at every point
+    ctx = make_field_ctx(p)
+    rng = random.Random(p)
+    for k in range(ctx.s - 1):
+        fam = build_level(ctx, k)
+        m = fam.modulus
+        e = ctx.r // m
+        for w in {0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(32))}:
+            f = fam.member_poly(ctx, w)
+            for j in range(m):
+                sign = -1 if w >> j & 1 else 1
+                assert eval_poly(f, pow(ctx.gamma, 2 * e * j, p)) == \
+                    sign * pow(ctx.gamma, e * j, p) % p, (k, w, j)
+
+
+def test_p17_minimizers_are_the_degree_6_ts_polynomials():
+    # q = 1: the TS family's degree ladder counts c_0 != 0 as degree r = 8,
+    # so the 16 TS polynomials of Poly degree 6 sit in its degree-8 count;
+    # they are exactly the search's minimizers
+    ctx = make_field_ctx(17)
+    report = minimal_search(ctx, keep_representatives=None)
+    assert (report.min_degree, report.minimizer_count) == (6, 16)
+    hist, polys = ts.enumerate_ts(ctx, dump=True)
+    assert hist.counts == {7: 16, 8: 240}
+    six = {tuple(f.coeffs) for f in polys if f.degree == 6}
+    assert {tuple(f.coeffs) for f in report.representatives} == six
+    assert all(f.coeffs[0] for f in polys if f.degree == 6)
 
 
 @pytest.mark.parametrize("p", [61, 73])

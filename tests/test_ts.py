@@ -6,11 +6,11 @@ import pytest
 from sqrtpoly import fourier, make_field_ctx, search, ts
 from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import BlockOutOfRange, LevelOutOfRange, TooLarge
-from sqrtpoly.poly import eval_poly, is_sqrt_poly
+from sqrtpoly.poly import eval_poly, glue_crt, is_sqrt_poly
 from sqrtpoly.signs import SignVector, from_signs
 
 from .fixtures import P41_TS_TABLE, TS_COUNTS
-from .helpers import block_minimal_poly, shift_family
+from .helpers import block_minimal_poly, block_part, shift_family
 
 
 def block_points(ctx, k):
@@ -108,6 +108,19 @@ def test_ts_routes_agree_q1():
         via_dft = fourier.coeffs_from_signs(ctx, ts.ts_sign_vector(ctx, choice))
         assert via_glue == via_dft
         assert is_sqrt_poly(ctx, via_glue)
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_ts_rows_are_the_glued_block_monomials(p):
+    # every choice: the rows from the family's closed-form weights equal
+    # glue_crt of the signed block monomials (at q = 1 each reduced to a
+    # constant mod x - zeta^k), an independent route
+    ctx = make_field_ctx(p)
+    d = ts.block_count(ctx)
+    for w in range(1 << d):
+        h = SignVector(w, d)
+        parts = [block_part(ctx, k, h.sign(k)) for k in range(d)]
+        assert ts.ts_polynomial(ctx, ts.TsChoice(h)) == glue_crt(ctx, parts), w
 
 
 def test_ts_admissible_degrees():
