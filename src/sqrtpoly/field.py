@@ -121,7 +121,7 @@ class FieldCtx:
         return pow(a, -1, self.p)
 
     def check_gamma_table(self):
-        """Refuse, with TooLarge, a p whose gamma^j table exceeds 2^GAMMA_TABLE_CAP entries.
+        """Refuse, with TooLarge, a gamma^j table of over 2^GAMMA_TABLE_CAP entries.
 
         Every r-entry list or table at p needs that table, so a caller
         that builds one asks this first.  Under the cap p^2 < 2^57, and

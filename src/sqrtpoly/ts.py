@@ -89,7 +89,7 @@ def ts_sign_vector(ctx: FieldCtx, choice: TsChoice) -> SignVector:
 
 
 def ts_admissible_degrees(ctx: FieldCtx) -> list[int]:
-    """The order-2^{s-1} family's degrees r - (q-1)/2 - n*q above the (p-1)/3 bound.
+    """Degrees r - (q-1)/2 - n*q of the order-2^{s-1} family above (p-1)/3.
 
     At q = 1 they start at r, which stands for x^0, as in family_census.
     """

@@ -282,7 +282,8 @@ def test_poly_of_any_integer_size_is_read(capsys):
 
 
 def test_missing_poly_file_exits_2(capsys, tmp_path):
-    assert cli.main(["verify", "--p", "13", "--poly-file", str(tmp_path / "f.json")]) == 2
+    path = str(tmp_path / "f.json")
+    assert cli.main(["verify", "--p", "13", "--poly-file", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
