@@ -16,20 +16,28 @@ choice made per call is for rows so sparse that a table over only the
 columns some row uses costs less than the plan, such as a monomial:
 they go to power_sums, sums sum_n rows[i, n] * gamma^(n * exps[k]) from
 such a table (power_block), a block of exps at a time.
-Products go through matmul_mod: float64 BLAS over chunks of the inner
-dimension in which every partial sum stays below 2^53, where doubles are
-exact, and Python integers only when one product of two entries reaches
-2^53.  A large prime factor of L (Bluestein's case) stays a dense
-leaf.
+Rows are reduced mod p once on entry.  While products of two residues
+are exact in float64 -- (p - 1)^2 < 2^53, p < 9.49e7, the one rule for
+float64 products here, _exact_terms -- the transform keeps them as
+float64 residues until it casts them back once on exit: each leaf
+product and each twiddle product is reduced by x - floor(x / p) * p
+(_reduce), exact for 0 <= x < 2^53, since x / p is then off by less
+than 1 / p, so its floor is the quotient.  Past that bound the products
+take the exact integer route: Python integers in the leaves, int64 for
+the twiddles, whose products stay below p^2 < 2^57 under the gamma^j
+cap.  Every leaf product goes through matmul_mod: float64 BLAS over
+chunks of the inner dimension short enough that the same rule holds
+for every partial sum.  A large prime factor of L (Bluestein's case)
+stays a dense leaf.
 Tables depend on p and their exponents alone, so _TABLES keeps them for
-the next call, never keyed on a context object: each leaf's table, as
-float64 ready for matmul_mod (its entries are below p < 2^53, so it is
-exact and needs no scan for its largest entry); each split's twiddles
-gamma^(e n1 k1), int64; power_sums' tables, float64; and gamma^j of each
-prime for FieldCtx.gamma_powers.  Every table is built once per process,
-not once per call, and is read-only.  Only tables of at most
-_BLOCK_ENTRIES entries are kept, _CACHE_BYTES = 32 MiB in all, least
-recently used dropped first; _TABLES.clear() drops the plans with them.
+the next call, never keyed on a context object: each leaf's table and
+each split's twiddles gamma^(e n1 k1), float64 residues ready for
+matmul_mod and _reduce; power_sums' tables, float64; and, per prime,
+gamma^j for FieldCtx.gamma_powers and signed_dft's row scales
+gamma^n / r.  Every table is built once per process, not once per
+call, and is read-only.  Only tables of at most _BLOCK_ENTRIES entries
+are kept, _CACHE_BYTES = 32 MiB in all, least recently used dropped
+first; _TABLES.clear() drops the plans with them.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import numpy as np
 from .errors import OrderDoesNotDivide
 from .field import prime_factors
 
-_EXACT = float(1 << 53)
+_EXACT = 1 << 53  # float64 holds every integer of magnitude up to 2^53
 _BLOCK_ENTRIES = 1 << 21  # power-table entries built at a time
 # Costs that choose between a leaf and a split of ntt, in float64 BLAS
 # multiply-adds (measured with numpy 2.4 and OpenBLAS on x86-64): one
@@ -54,33 +62,70 @@ _SPLIT_COST = 1 << 20
 _CACHE_BYTES = 1 << 25  # power tables kept for reuse, 32 MiB in all
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p, exact, for int64 matrices and p < 2^63.
+def _exact_terms(amax: int, bmax: int, p: int) -> int:
+    """How many products of integers at most amax and bmax in magnitude a
+    float64 sum x holds exactly, with _reduce exact on it too: as many as
+    keep |x| + p <= 2^53; below 1 when one product is already too many.
 
-    float64 BLAS over chunks of the inner dimension short enough that
-    amax * bmax * chunk < 2^53 bounds every partial sum, each chunk's
-    product reduced mod p and the chunks summed mod p in int64; Python
-    integers, which cannot wrap, only when amax * bmax alone reaches 2^53.
-    A float64 b is taken as one of _TABLES' power tables: its entries are
-    residues, so bmax is p - 1 without a scan and b is used as it is.
+    For two residues, amax = bmax = p - 1, that holds for the same p as
+    (p - 1)^2 < 2^53: p < 9.49e7.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    if isinstance(b, np.ndarray) and b.dtype == np.float64:
-        bmax = p - 1
-    else:
-        b = np.ascontiguousarray(b, dtype=np.int64)
-        bmax = int(np.abs(b).max(initial=0))
-    amax = int(np.abs(a).max(initial=0))
-    if amax * bmax >= _EXACT:
-        b = b.astype(np.int64, copy=False).astype(object)
-        return ((a.astype(object) @ b) % p).astype(np.int64)
-    step = ((1 << 53) - 1) // max(amax * bmax, 1)
-    a, b = a.astype(np.float64), b.astype(np.float64, copy=False)
-    out = (a[..., :step] @ b[:step]).astype(np.int64) % p
+    return (_EXACT - p) // max(amax * bmax, 1)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of integers within _exact_terms.
+
+    x - floor(x / p) * p: x / p is off by less than 1 / p, so its floor is
+    the quotient k, and k * p is exact as |k * p| < |x| + p.
+    """
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _operand(x, p: int) -> tuple[np.ndarray, int]:
+    """x as an array and the largest magnitude of its entries: p - 1 without
+    a scan for a float64 array, which is taken as residues."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x, p - 1
+    x = np.asarray(x, dtype=np.int64)
+    return x, int(np.abs(x).max(initial=0))
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """(a @ b) mod p, exact, for integer matrices and p < 2^63.
+
+    float64 BLAS over chunks of the inner dimension as long as
+    _exact_terms allows, each chunk's product reduced by _reduce and the
+    chunks summed mod p; Python integers, which cannot wrap, only when one
+    product alone may be inexact.  A float64 operand is taken as residues
+    (ntt's rows, _TABLES' tables), so its largest entry is p - 1 without
+    a scan.  With both operands float64 the result is float64 residues,
+    else int64.
+    """
+    residues = all(isinstance(x, np.ndarray) and x.dtype == np.float64 for x in (a, b))
+    (a, amax), (b, bmax) = _operand(a, p), _operand(b, p)
+    step = _exact_terms(amax, bmax, p)
+    if step < 1:
+        a, b = (x.astype(np.int64, copy=False).astype(object) for x in (a, b))
+        return ((a @ b) % p).astype(np.int64)
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    out = _reduce(a[..., :step] @ b[:step], p)
     for lo in range(step, a.shape[-1], step):
-        out += (a[..., lo:lo + step] @ b[lo:lo + step]).astype(np.int64) % p - p
-        out[out < 0] += p  # the sum of two residues, less p, without wrapping
-    return out
+        out += _reduce(a[..., lo:lo + step] @ b[lo:lo + step], p)
+        out[out >= p] -= p  # the sum of two residues, below 2p
+    return out if residues else out.astype(np.int64)
+
+
+def _mul_mod(x: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """x * table mod p elementwise for a kept float64 table: by _reduce on
+    float64 residues x, in int64 otherwise (p^2 < 2^63 under the gamma^j cap)."""
+    if x.dtype == np.float64:
+        return _reduce(x * table, p)
+    return x * table.astype(np.int64) % p
 
 
 def power_block(ctx, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -101,8 +146,9 @@ class _TableCache:
     gamma is the least primitive root of p, so a table depends on p and
     its exponents, not on the context: a fresh context of the same p finds
     the tables of the last one.  Keys: (p, "gamma") for gamma^j,
-    (p, "leaf", n, e) and (p, "twiddles", a, b, e) for ntt's leaves and
-    splits, and (p, rows, cols) for power_sums.
+    (p, "dft") for signed_dft's scales, (p, "leaf", n, e) and
+    (p, "twiddles", a, b, e) for ntt's leaves and splits, and
+    (p, rows, cols) for power_sums.
     """
 
     def __init__(self):
@@ -207,7 +253,7 @@ def _leaf(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     """ntt of dense rows by one product with the kept table gamma^(e n k)."""
     p, n = ctx.p, rows.shape[1]
     if n * n > _BLOCK_ENTRIES:  # kept in blocks of exps by power_sums
-        return power_sums(ctx, rows, e * np.arange(n, dtype=np.int64))
+        return power_sums(ctx, rows, e * np.arange(n, dtype=np.int64)).astype(rows.dtype)
     ks = np.arange(n, dtype=np.int64)
     table = _TABLES.keep((p, "leaf", n, e),
                          lambda: power_block(ctx, ks, e * ks).astype(np.float64))
@@ -215,7 +261,7 @@ def _leaf(ctx, rows: np.ndarray, e: int) -> np.ndarray:
 
 
 def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
-    """ntt of the rows along the plan of their shape."""
+    """ntt of rows of residues along the plan of their shape, in their dtype."""
     m, length = rows.shape
     split = _plan(length, m)[1]
     if split is None:
@@ -226,8 +272,9 @@ def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     sub = rows.reshape(m, b, a).transpose(0, 2, 1).reshape(m * a, b)
     y = _run(ctx, sub, e * a % (p - 1)).reshape(m, a, b)
     twiddles = _TABLES.keep((p, "twiddles", a, b, e), lambda: power_block(
-        ctx, np.arange(a, dtype=np.int64), e * np.arange(b, dtype=np.int64)))
-    z = _run(ctx, (y * twiddles % p).transpose(0, 2, 1).reshape(m * b, a),
+        ctx, np.arange(a, dtype=np.int64),
+        e * np.arange(b, dtype=np.int64)).astype(np.float64))
+    z = _run(ctx, _mul_mod(y, twiddles, p).transpose(0, 2, 1).reshape(m * b, a),
              e * b % (p - 1))
     return z.reshape(m, b, a).transpose(0, 2, 1).reshape(m, length)
 
@@ -239,21 +286,25 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     taken as one row.  The plan of the shape (m, L) is made once per
     process; the one choice made per call is the leaf over used columns
     only (power_sums) for rows so sparse that it costs less than the
-    plan, such as a monomial.  Exact while p^2 < 2^63: each twiddle
-    product of two residues then fits int64, and ctx.gamma_powers refuses
-    larger p with TooLarge before any product is formed.  Every sum goes
-    through matmul_mod.
+    plan, such as a monomial.  Otherwise the rows are reduced mod p once
+    and, while _exact_terms holds for two residues, cast to float64 once
+    and back to int64 once at the end; past it they stay int64.  Exact
+    while p^2 < 2^63: ctx.gamma_powers refuses larger p with TooLarge
+    before any product is formed.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     m, length = rows.shape
-    if e * length % (ctx.p - 1):
+    p = ctx.p
+    if e * length % (p - 1):
         raise OrderDoesNotDivide(f"gamma^{e} has no order dividing L = {length}")
-    e %= ctx.p - 1
+    e %= p - 1
     cost, split = _plan(length, m)
     used = np.count_nonzero(rows.any(axis=0))
     if used < length and (split is None or used * length * (_TABLE_COST + m) <= cost):
         return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
-    return _run(ctx, rows, e)
+    if _exact_terms(p - 1, p - 1, p) < 1:
+        return _run(ctx, rows % p, e)
+    return _run(ctx, (rows % p).astype(np.float64), e).astype(np.int64)
 
 
 def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:
@@ -264,8 +315,10 @@ def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:
 def signed_dft(ctx, sign_rows: np.ndarray) -> np.ndarray:
     """Coefficient vectors c_k = (1/r) sum_n eps_n gamma^(n(1-2k)), rows of +-1.
 
-    That is the transform with e = -2 of the rows eps_n gamma^n.
+    That is the transform with e = -2 of the rows eps_n gamma^n / r, the
+    signs times the kept table gamma^n / r mod p.
     """
-    p = ctx.p
-    rows = np.asarray(sign_rows, dtype=np.int64) * ctx.gamma_powers[:ctx.r]
-    return ntt(ctx, rows, -2) * pow(ctx.r, -1, p) % p
+    p, r = ctx.p, ctx.r
+    scales = _TABLES.keep((p, "dft"),
+                          lambda: ctx.gamma_powers[:r] * pow(r, -1, p) % p)
+    return ntt(ctx, np.asarray(sign_rows, dtype=np.int64) * scales, -2)

@@ -9,7 +9,7 @@ golden values are reproducible.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import EvenInput, NotAResidue, NotPrime, OrderDoesNotDivide, TooLarge
 
@@ -18,6 +18,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 GAMMA_TABLE_CAP = 28  # the gamma^j table holds at most 2^28 int64 entries (2 GiB)
 
 
+# is_prime and the root search run once per prime and process: every
+# context of p, and one is made per job, reuses them
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -61,6 +64,7 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=1024)
 def _least_primitive_root(p: int) -> int:
     ells = set(prime_factors(p - 1))
     g = 2

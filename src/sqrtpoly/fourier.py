@@ -52,18 +52,18 @@ def coeffs_from_signs(ctx: FieldCtx, eps: SignVector) -> Poly:
     """The unique f with f(gamma^(2n)) = eps_n gamma^n, mod x^r - 1."""
     if eps.d != ctx.r:
         raise LengthMismatch(f"eps length {eps.d} != r = {ctx.r}")
-    c = _modmat.signed_dft(ctx, eps.sign_array())[0]
-    return Poly(ctx, c.tolist())
+    return Poly._adopt(ctx, _modmat.signed_dft(ctx, eps.sign_array()))[0]
 
 
 def signs_from_poly(ctx: FieldCtx, f: Poly) -> SignVector:
     """eps_n = f(gamma^(2n)) * gamma^(-n); must be +-1 everywhere."""
-    ratios = poly.sqrt_ratios(ctx, f)
-    bad = np.flatnonzero((ratios != 1) & (ratios != ctx.p - 1))
+    vals, plus, minus = poly._root_signs(ctx, f)
+    bad = np.flatnonzero(~(plus | minus))
     if len(bad):
-        n = int(bad[0])
-        raise NotASqrtPoly(f"f(gamma^{2 * n}) / gamma^{n} = {ratios[n]}")
-    minus = np.packbits(ratios == ctx.p - 1, bitorder="little")
+        n, p = int(bad[0]), ctx.p
+        ratio = int(vals[n]) * pow(ctx.gamma, -n, p) % p
+        raise NotASqrtPoly(f"f(gamma^{2 * n}) / gamma^{n} = {ratio}")
+    minus = np.packbits(minus, bitorder="little")
     return SignVector(int.from_bytes(minus.tobytes(), "little"), ctx.r)
 
 
@@ -99,7 +99,7 @@ def subgroup_coeffs(ctx: FieldCtx, d: int, eps: SignVector) -> Poly:
     half_root = ctx.gamma_powers[np.arange(d, dtype=np.int64) * ((d + 1) // 2) % d * step]
     row = eps.sign_array() * half_root
     c = _modmat.ntt(ctx, row, -step)[0] * pow(d, -1, p) % p
-    return poly.from_coeffs(ctx, c.tolist())
+    return poly.from_coeffs(ctx, c)
 
 
 def periodic_pattern_poly(ctx: FieldCtx, pattern: SignVector) -> Poly:

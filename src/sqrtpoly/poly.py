@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _modmat
@@ -15,33 +13,55 @@ from .field import FieldCtx
 NEG_INF = float("-inf")
 
 
-@dataclass
 class Poly:
-    ctx: FieldCtx
-    coeffs: list[int]  # dense, length exactly r
+    """An element of F_p[x]/(x^r - 1), held as one read-only int64 array of
+    its r residues, copied from the coefficients it is built from."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.ctx.r:
-            raise LengthMismatch(f"{len(self.coeffs)} coefficients but r = {self.ctx.r}")
+    def __init__(self, ctx: FieldCtx, coeffs):
+        array = np.array(coeffs, dtype=np.int64)
+        if array.ndim != 1 or len(array) != ctx.r:
+            raise LengthMismatch(f"{array.size} coefficients but r = {ctx.r}")
+        array.flags.writeable = False
+        self.ctx, self.array, self._ints = ctx, array, None
+
+    @classmethod
+    def _adopt(cls, ctx: FieldCtx, rows: np.ndarray) -> list[Poly]:
+        """The Polys of the rows of an int64 array of residues, r columns, that
+        the library has just made and no one else holds.
+
+        The array is made read-only once, and each Poly holds its row as it
+        is, not copied.
+        """
+        rows.flags.writeable = False
+        polys = [cls.__new__(cls) for _ in range(len(rows))]
+        for f, row in zip(polys, rows):
+            f.ctx, f.array, f._ints = ctx, row, None
+        return polys
+
+    @property
+    def coeffs(self) -> list[int]:
+        """The residues as Python ints, converted once; each call returns
+        its own list, so changing one leaves f as it was."""
+        if self._ints is None:
+            self._ints = self.array.tolist()
+        return self._ints.copy()
 
     @property
     def degree(self):
-        for k in range(self.ctx.r - 1, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return NEG_INF
+        nonzero = np.flatnonzero(self.array)
+        return int(nonzero[-1]) if len(nonzero) else NEG_INF
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.ctx.p == self.ctx.p
-                and other.coeffs == self.coeffs)
+                and np.array_equal(other.array, self.array))
 
     def __neg__(self):
-        p = self.ctx.p
-        return Poly(self.ctx, [(-c) % p for c in self.coeffs])
+        return Poly._adopt(self.ctx, -self.array[None] % self.ctx.p)[0]
 
     def sparse(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs, descending by exponent."""
-        return [(k, c) for k, c in reversed(list(enumerate(self.coeffs))) if c]
+        ks = np.flatnonzero(self.array)[::-1]
+        return list(zip(ks.tolist(), self.array[ks].tolist()))
 
     def render(self) -> str:
         """Human form 'c*x^k + ...' descending, like the tables print it."""
@@ -58,7 +78,7 @@ class Poly:
         return f"Poly(p={self.ctx.p}, {self.render()})"
 
     def to_json(self) -> list[int]:
-        return list(self.coeffs)
+        return self.coeffs
 
 
 def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
@@ -73,15 +93,15 @@ def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
         c = np.asarray(coeffs, dtype=object)
     if len(c) > ctx.r:
         raise DegreeTooLarge(f"{len(c)} coefficients but r = {ctx.r}")
-    out = np.zeros(ctx.r, dtype=c.dtype)
-    out[:len(c)] = c % ctx.p
-    return Poly(ctx, out.tolist())
+    out = np.zeros((1, ctx.r), dtype=np.int64)
+    out[0, :len(c)] = c % ctx.p
+    return Poly._adopt(ctx, out)[0]
 
 
 def monomial(ctx: FieldCtx, coeff: int, exp: int) -> Poly:
-    c = [0] * ctx.r
-    c[exp % ctx.r] = coeff % ctx.p
-    return Poly(ctx, c)
+    c = np.zeros((1, ctx.r), dtype=np.int64)
+    c[0, exp % ctx.r] = coeff % ctx.p
+    return Poly._adopt(ctx, c)[0]
 
 
 def _same_ctx(a: Poly, b: Poly):
@@ -91,14 +111,12 @@ def _same_ctx(a: Poly, b: Poly):
 
 def add(a: Poly, b: Poly) -> Poly:
     _same_ctx(a, b)
-    p = a.ctx.p
-    return Poly(a.ctx, [(x + y) % p for x, y in zip(a.coeffs, b.coeffs)])
+    return Poly._adopt(a.ctx, (a.array + b.array)[None] % a.ctx.p)[0]
 
 
 def sub(a: Poly, b: Poly) -> Poly:
     _same_ctx(a, b)
-    p = a.ctx.p
-    return Poly(a.ctx, [(x - y) % p for x, y in zip(a.coeffs, b.coeffs)])
+    return Poly._adopt(a.ctx, (a.array - b.array)[None] % a.ctx.p)[0]
 
 
 def eval_poly(f: Poly, a: int) -> int:
@@ -110,21 +128,24 @@ def eval_poly(f: Poly, a: int) -> int:
     return acc
 
 
-def sqrt_ratios(ctx: FieldCtx, f: Poly) -> np.ndarray:
-    """f(gamma^(2n)) * gamma^(-n) mod p for every n < r.
+def _root_signs(ctx: FieldCtx, f: Poly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f(gamma^(2n)), where it is gamma^n, where it is -gamma^n) for n < r.
 
-    f is a square-root polynomial exactly when every entry is 1 or p - 1,
-    and then the entries are its signs eps_n mod p.
+    f is a square-root polynomial exactly when one of the two holds at
+    every n, and then the second marks its signs eps_n = -1.  A Poly of
+    another prime is refused with ContextMismatch before any transform.
     """
-    vals = _modmat.eval_on_squares(ctx, f.coeffs)[0]
-    # gamma^(-n) = -gamma^(r - n), as gamma^r = -1: a reversed slice, no gather
-    return -vals * ctx.gamma_powers[ctx.r:0:-1] % ctx.p
+    if f.ctx.p != ctx.p:
+        raise ContextMismatch(f"a polynomial of p={f.ctx.p} checked at p={ctx.p}")
+    vals = _modmat.eval_on_squares(ctx, f.array)[0]
+    half = ctx.gamma_powers[:ctx.r]
+    return vals, vals == half, vals + half == ctx.p
 
 
 def is_sqrt_poly(ctx: FieldCtx, f: Poly) -> bool:
     """True iff f(a)^2 = a for every quadratic residue a."""
-    ratios = sqrt_ratios(ctx, f)
-    return bool(np.all((ratios == 1) | (ratios == ctx.p - 1)))
+    _vals, plus, minus = _root_signs(ctx, f)
+    return bool(np.all(plus | minus))
 
 
 def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:
@@ -144,9 +165,9 @@ def glue_crt(ctx: FieldCtx, parts: list[Poly], check: bool = False) -> Poly:
     for f in parts:
         if f.degree != NEG_INF and f.degree >= q:
             raise DegreeTooLarge(f"part degree {f.degree} >= q = {q}")
-    cols = np.array([f.coeffs[:q] for f in parts], dtype=np.int64).T
+    cols = np.array([f.array[:q] for f in parts]).T
     rows = _modmat.ntt(ctx, cols, -2 * q) * pow(d, -1, p) % p
-    result = Poly(ctx, rows.T.ravel().tolist())
+    result = Poly._adopt(ctx, rows.T.reshape(1, -1))[0]
     if check and not is_sqrt_poly(ctx, result):
         raise SqrtPolyError("glue_crt result is not a square-root polynomial")
     return result
@@ -181,10 +202,11 @@ def glue_pair(ctx: FieldCtx, f_i: Poly, f_j: Poly, k: int, i: int,
     for f in (f_i, f_j):
         if f.degree != NEG_INF and f.degree >= m:
             raise DegreeTooLarge(f"input degree {f.degree} >= M_k = {m}")
-    if f_i.coeffs == f_j.coeffs:
+    if np.array_equal(f_i.array, f_j.array):
         raise EqualInputsCancellation("glue_pair inputs identical")
-    row = glue_rows(ctx, [f_i.coeffs[:m]], [f_j.coeffs[:m]], k, i)[0]
-    result = Poly(ctx, row.tolist() + [0] * (ctx.r - 2 * m))
+    row = np.zeros((1, ctx.r), dtype=np.int64)
+    row[:, :2 * m] = glue_rows(ctx, f_i.array[None, :m], f_j.array[None, :m], k, i)
+    result = Poly._adopt(ctx, row)[0]
     if check:
         want = m + sub(f_i, f_j).degree
         if result.degree != want:

@@ -58,7 +58,7 @@ class LevelFamily:
     members: np.ndarray  # (2^{M_k}, M_k), row w a poly of degree < M_k (_block_weights)
 
     def member_poly(self, ctx: FieldCtx, idx: int) -> Poly:
-        return poly.from_coeffs(ctx, [int(v) for v in self.members[idx]])
+        return poly.from_coeffs(ctx, self.members[idx])
 
 
 @dataclass
@@ -261,7 +261,7 @@ def minimal_search(ctx: FieldCtx,
     glued = poly.glue_rows(ctx, a_rows, b_rows, ctx.s - 2, 0)
     if not glued[:, min_degree].all() or glued[:, min_degree + 1:].any():
         raise SqrtPolyError(f"a representative's degree is not {min_degree}")
-    reps = [Poly(ctx, coeffs) for coeffs in glued.tolist()]
+    reps = Poly._adopt(ctx, glued.astype(np.int64, copy=False))
     marks.append(time.perf_counter())
     stats = {
         "wall_seconds": round(time.monotonic() - t0, 6),
@@ -317,7 +317,7 @@ def decompose_tree(ctx: FieldCtx, f: Poly) -> TreeNode:
     if not is_sqrt_poly(ctx, f):
         raise NotASqrtPoly("decompose_tree input must compute square roots on S")
     root = TreeNode(level=ctx.s - 1, block=0, modulus=ctx.r, beta=1,
-                    coeffs=list(f.coeffs))
+                    coeffs=f.coeffs)
     _split(ctx, root)
     return root
 

@@ -70,8 +70,7 @@ def _ts_rows(ctx: FieldCtx, signs: np.ndarray) -> np.ndarray:
 
 def ts_polynomial(ctx: FieldCtx, choice: TsChoice) -> Poly:
     """The signed block monomials of choice, glued into one polynomial on S."""
-    row = _ts_rows(ctx, choice.h.sign_array()[None])[0]
-    return Poly(ctx, row.tolist())
+    return Poly._adopt(ctx, _ts_rows(ctx, choice.h.sign_array()[None]))[0]
 
 
 def ts_sign_vector(ctx: FieldCtx, choice: TsChoice) -> SignVector:
@@ -123,5 +122,5 @@ def enumerate_ts(ctx: FieldCtx, dump: bool = False):
         # row w holds the choice SignVector(w, d): bit k set means h_k = -1
         words = np.arange(1 << d, dtype=np.int64)[:, None]
         signs = 1 - 2 * (words >> np.arange(d, dtype=np.int64) & 1)
-        polys = [Poly(ctx, row) for row in _ts_rows(ctx, signs).tolist()]
+        polys = Poly._adopt(ctx, _ts_rows(ctx, signs))
     return hist, polys

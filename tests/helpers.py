@@ -345,6 +345,29 @@ def gray_walk_vanishing(ctx, d, ell, lo, hi, zeta=None):
     return count
 
 
+def residue_dp_vanishing(ctx, d, ell):
+    """#{eps in E_d : sum_n eps_n w^n = 0 mod p}, w = zeta^ell for the
+    canonical primitive 2d-th root zeta, with no join.
+
+    The count is the constant term of prod_n (x^(w^n) + x^(-w^n)) mod
+    x^p - 1: a DP over the d signs whose state is the count of each
+    residue, O(d p) big-integer additions.
+    """
+    import numpy as np
+
+    from sqrtpoly.field import root_of_unity
+
+    p = ctx.p
+    w = pow(root_of_unity(ctx, 2 * d), ell % (2 * d), p)
+    counts = np.zeros(p, dtype=object)
+    counts[0] = 1
+    a = 1
+    for _ in range(d):
+        counts = np.roll(counts, a) + np.roll(counts, -a)
+        a = a * w % p
+    return counts[0]
+
+
 def _dense_sign_rows(d):
     """(words, +-1 sign rows) of all 2^d sign words, 2^16 words at a time."""
     import numpy as np

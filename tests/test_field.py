@@ -151,6 +151,21 @@ def test_fresh_contexts_of_one_prime_share_one_gamma_table(monkeypatch):
     assert not first.flags.writeable
 
 
+def test_contexts_of_one_prime_search_for_the_root_once(monkeypatch):
+    # FieldCtx stays one build per call; the primality test and the root
+    # search behind it run once per prime
+    searched = []
+    factors = field.prime_factors
+    monkeypatch.setattr(field, "prime_factors",
+                        lambda n: searched.append(n) or factors(n))
+    field._least_primitive_root.cache_clear()
+    field.is_prime.cache_clear()
+    a, b = FieldCtx(4001), make_field_ctx(4001)
+    assert a is not b and a.gamma == b.gamma == 3
+    assert searched == [4000]
+    assert field.is_prime.cache_info().misses == 1
+
+
 def test_gamma_powers_refuse_int64_overflow():
     with pytest.raises(TooLarge):
         make_field_ctx((1 << 61) - 1).gamma_powers

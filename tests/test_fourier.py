@@ -12,7 +12,9 @@ from sqrtpoly.field import root_of_unity
 from sqrtpoly.signs import SignVector, from_signs
 
 from .helpers import (gray_walk_vanishing, lagrange_interpolate, naive_half_sum,
-                      naive_subgroup_coeffs)
+                      naive_subgroup_coeffs, residue_dp_vanishing)
+
+PRIMES_TO_61 = [p for p in range(3, 62) if all(p % f for f in range(2, p))]
 
 
 def test_half_sum_against_oracle(ctx29):
@@ -170,6 +172,36 @@ def test_count_vanishing_formula_matches_bruteforce():
                 continue
             assert fourier.count_vanishing_formula(ctx, ell) == \
                 fourier.count_vanishing_bruteforce(ctx, ctx.r, ell)
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_TO_61 if p <= 53])
+def test_residue_dp_matches_the_join(p):
+    # every odd ell below 2r at every prime up to 53: 182 cases in all
+    ctx = make_field_ctx(p)
+    for ell in range(1, 2 * ctx.r, 2):
+        assert residue_dp_vanishing(ctx, ctx.r, ell) == \
+            fourier.count_vanishing_bruteforce(ctx, ctx.r, ell), ell
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61)
+def test_residue_dp_matches_the_formula(p):
+    ctx = make_field_ctx(p)
+    for ell in range(1, p - 1, 2):
+        if math.gcd(ell, p - 1) == 1:
+            assert residue_dp_vanishing(ctx, ctx.r, ell) == \
+                fourier.count_vanishing_formula(ctx, ell), ell
+
+
+@pytest.mark.parametrize("p", [107, 109, 113])
+def test_residue_dp_matches_the_formula_past_the_join_cap(p):
+    # r = 53, 54, 56: a join side would be past 2^26 rows
+    ctx = make_field_ctx(p)
+    with pytest.raises(TooLarge):
+        fourier.count_vanishing_bruteforce(ctx, ctx.r, 1)
+    for ell in range(1, p - 1, 2):
+        if math.gcd(ell, p - 1) == 1:
+            assert residue_dp_vanishing(ctx, ctx.r, ell) == \
+                fourier.count_vanishing_formula(ctx, ell), ell
 
 
 @pytest.mark.parametrize("p, want", [(73, 941362696), (89, 197665011736)])

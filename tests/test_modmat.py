@@ -55,7 +55,7 @@ def test_matmul_mod_chunks_at_their_boundary(inner):
 
 def _naive_power_sums(ctx, rows, exps):
     p, g = ctx.p, ctx.gamma
-    return [[sum(int(c) * pow(g, n * int(e), p) for n, c in enumerate(row)) % p
+    return [[sum(int(c) * pow(g, n * int(e), p) for n, c in enumerate(row) if c) % p
              for e in exps] for row in rows]
 
 
@@ -116,15 +116,28 @@ def splits(request, monkeypatch, no_tables):
     return request.param
 
 
+def _sparse_rows(ctx, length, seed):
+    """Three rows with entries in (-p, p) on three columns, and a monomial."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((3, length), dtype=np.int64)
+    cols = rng.choice(length, min(3, length), replace=False)
+    rows[:, cols] = rng.integers(1 - ctx.p, ctx.p, (3, len(cols)))
+    monomial = np.zeros((1, length), dtype=np.int64)
+    monomial[0, -1] = ctx.p - 2
+    return [rows, monomial]
+
+
 @pytest.mark.parametrize("p", [3, 13, 23, 41, 257])
 def test_ntt_matches_naive_sums(p, splits):
     # r prime (23), a power of 2 (257) and mixed; e = +-2 on r columns,
-    # e = 1 and 3 on all p - 1
+    # e = 1 and 3 on all p - 1; dense rows, rows of entries up to 2^62
+    # either side of zero, sparse rows and a monomial
     ctx = make_field_ctx(p)
     for length, e in ((ctx.r, 2), (ctx.r, -2), (p - 1, 1), (p - 1, 3)):
-        rows = _dense_rows(ctx, length, p)
-        want = _naive_power_sums(ctx, rows, e * np.arange(length))
-        assert ntt(ctx, rows, e).tolist() == want, (p, length, e)
+        big = np.random.default_rng(p).integers(-(1 << 62), 1 << 62, (2, length))
+        for rows in [_dense_rows(ctx, length, p), big, *_sparse_rows(ctx, length, p)]:
+            want = _naive_power_sums(ctx, rows, e * np.arange(length))
+            assert ntt(ctx, rows, e).tolist() == want, (p, length, e, rows)
 
 
 @pytest.mark.parametrize("p", [1009, 1019, 2003, 4001, 4003])
@@ -132,10 +145,55 @@ def test_ntt_matches_power_sums(p, splits):
     # r = 504, 509 (prime), 1001, 2000 and 2001 = 3 * 23 * 29
     ctx = make_field_ctx(p)
     for e in (2, -2):
-        rows = _dense_rows(ctx, ctx.r, p)
+        for rows in [_dense_rows(ctx, ctx.r, p), *_sparse_rows(ctx, ctx.r, p)]:
+            got = ntt(ctx, rows, e)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, power_sums(ctx, rows, e * np.arange(ctx.r)))
+
+
+def test_exactness_rule_is_the_float64_bound_on_residue_products():
+    # the float64 route ends where (p - 1)^2 reaches 2^53: p = 94906266
+    for p in range(94906200, 94906300):
+        assert (_modmat._exact_terms(p - 1, p - 1, p) >= 1) == ((p - 1) ** 2 < 1 << 53)
+
+
+@pytest.mark.parametrize("p", [94906249, 94906267, (1 << 28) + 3])
+def test_floor_reduction_is_exact_up_to_2_to_53(p):
+    # near 2^53 - 1, at multiples of p and one below them, and at negative
+    # sums within the rule |x| + p <= 2^53
+    top = (1 << 53) - 1
+    ks = [1, 2, 3, top // p - 1, top // p] + list(range(1000, top // p, top // p // 97))
+    xs = list(range(top - 2000, top + 1))
+    xs += [k * p for k in ks] + [k * p - 1 for k in ks]
+    xs += [-x for x in xs if x + p <= 1 << 53]
+    got = _modmat._reduce(np.array(xs, dtype=np.float64), p)
+    assert got.tolist() == [x % p for x in xs]
+
+
+@pytest.mark.parametrize("p", [1009, 4001])
+def test_integer_route_past_the_exactness_bound(monkeypatch, no_tables, p):
+    # with 2^53 patched to 2^19, (p - 1)^2 reaches it: the transform keeps
+    # int64 rows throughout, and its leaves take Python integers
+    monkeypatch.setattr(_modmat, "_EXACT", 1 << 19)
+    dtypes = []
+    leaf = _modmat._leaf
+    monkeypatch.setattr(_modmat, "_leaf",
+                        lambda ctx, rows, e: dtypes.append(rows.dtype) or leaf(ctx, rows, e))
+    ctx = make_field_ctx(p)
+    rng = np.random.default_rng(p)
+    ks = np.unique(np.r_[0, 1, ctx.r - 1, rng.integers(0, ctx.r, 20)])
+    for e in (2, -2):
+        rows = _dense_rows(ctx, ctx.r, p + e)
         got = ntt(ctx, rows, e)
         assert got.dtype == np.int64
-        assert np.array_equal(got, power_sums(ctx, rows, e * np.arange(ctx.r)))
+        assert got[:, ks].tolist() == _naive_power_sums(ctx, rows, e * ks)
+    signs = 1 - 2 * rng.integers(0, 2, (2, ctx.r))
+    got = _modmat.signed_dft(ctx, signs)
+    g, inv_r = ctx.gamma, pow(ctx.r, -1, p)
+    assert got[:, ks].tolist() == [
+        [sum(int(s) * pow(g, n * (1 - 2 * int(k)), p) for n, s in enumerate(row))
+         * inv_r % p for k in ks] for row in signs]
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 def test_ntt_with_a_large_prime_factor():

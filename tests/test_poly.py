@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from sqrtpoly import fourier, make_field_ctx, poly, ts
+from sqrtpoly import _modmat, fourier, make_field_ctx, poly, search, ts
 from sqrtpoly._modmat import eval_on_squares
 from sqrtpoly.errors import (ContextMismatch, DegreeTooLarge,
                              EqualInputsCancellation, LengthMismatch,
@@ -48,7 +48,7 @@ def test_from_coeffs_reduces_integers_of_any_size(ctx13):
                          (np.array([40, -1, 1 << 62], dtype=np.int64),
                           [40 % 13, 12, (1 << 62) % 13])):
         f = from_coeffs(ctx13, coeffs)
-        assert f.coeffs == want + pad
+        assert f.coeffs == want + pad and f.array.tolist() == want + pad
         assert all(type(c) is int for c in f.coeffs)
 
 
@@ -91,6 +91,67 @@ def test_mul_cyclic_wraps(ctx13):
 def test_context_mismatch(ctx13, ctx29):
     with pytest.raises(ContextMismatch):
         add(from_coeffs(ctx13, [1]), from_coeffs(ctx29, [1]))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_checks_refuse_a_polynomial_of_another_prime(monkeypatch, ctx41, p):
+    # r = 5 does not divide r = 20 at p = 41, and r = 6 has no root of
+    # unity of order 20: either way the context is refused, not the transform
+    f = from_coeffs(ctx41, P41_MINIMAL)
+    ctx = make_field_ctx(p)
+
+    def no_transform(*args):
+        raise AssertionError("a transform ran on a polynomial of another prime")
+
+    monkeypatch.setattr(_modmat, "ntt", no_transform)
+    for check in (is_sqrt_poly, fourier.signs_from_poly):
+        with pytest.raises(ContextMismatch, match=f"p=41 checked at p={p}"):
+            check(ctx, f)
+
+
+def test_poly_array_is_read_only(ctx13, ctx41):
+    f = from_coeffs(ctx13, [3, 0, 7])
+    with pytest.raises(ValueError):
+        f.array[0] = 1
+    assert f.coeffs[:3] == [3, 0, 7]
+    # the Polys the library builds hold their arrays as they are, read-only
+    eps = SignVector(5, ctx41.r)
+    g = fourier.coeffs_from_signs(ctx41, eps)
+    built = [f, -f, add(f, f), sub(f, f), monomial(ctx13, 2, 3), poly.Poly(ctx13, f.array),
+             g, glue_crt(ctx41, [monomial(ctx41, c, 3) for c in P41_GLUE_PARTS]),
+             ts.ts_polynomial(ctx41, ts.TsChoice(SignVector(3, 4))),
+             *ts.enumerate_ts(ctx41, dump=True)[1][:3],
+             *search.minimal_search(ctx41, keep_representatives=3).representatives]
+    for h in built:
+        assert h.array.dtype == np.int64 and h.array.shape == (h.ctx.r,)
+        assert not h.array.flags.writeable
+
+
+def test_poly_owns_its_coefficients(ctx13):
+    want = [3, 0, 7, 1, 0, 12]
+    given_list = list(want)
+    given_array = np.array(want, dtype=np.int64)
+    for f, given in ((poly.Poly(ctx13, given_list), given_list),
+                     (poly.Poly(ctx13, given_array), given_array)):
+        given[0] = 5
+        f.coeffs[1] = 9  # a list of its own: the next call's is unchanged
+        assert f.coeffs == want and f.array.tolist() == want
+        assert all(type(c) is int for c in f.coeffs)
+        assert f == poly.Poly(ctx13, want) and f.degree == 5
+
+
+def test_round_trip_never_reads_the_coefficient_list(monkeypatch):
+    ctx = make_field_ctx(1009)
+    eps = SignVector(random.Random(5).getrandbits(ctx.r), ctx.r)
+
+    def no_list(self):
+        raise AssertionError("the coefficient list was built")
+
+    monkeypatch.setattr(poly.Poly, "coeffs", property(no_list))
+    f = fourier.coeffs_from_signs(ctx, eps)
+    assert is_sqrt_poly(ctx, f)
+    assert fourier.signs_from_poly(ctx, f) == eps
+    assert not is_sqrt_poly(ctx, add(f, monomial(ctx, 1, 7)))
 
 
 def test_eval_paths_agree(ctx41):
