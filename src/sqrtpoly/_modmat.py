@@ -16,19 +16,19 @@ choice made per call is for rows so sparse that a table over only the
 columns some row uses costs less than the plan, such as a monomial:
 they go to power_sums, sums sum_n rows[i, n] * gamma^(n * exps[k]) from
 such a table (power_block), a block of exps at a time.
-Rows are reduced mod p once on entry.  While products of two residues
-are exact in float64 -- (p - 1)^2 < 2^53, p < 9.49e7, the one rule for
-float64 products here, _exact_terms -- the transform keeps them as
-float64 residues until it casts them back once on exit: each leaf
-product and each twiddle product is reduced by x - floor(x / p) * p
-(_reduce), exact for 0 <= x < 2^53, since x / p is then off by less
-than 1 / p, so its floor is the quotient.  Past that bound the products
-take the exact integer route: Python integers in the leaves, int64 for
-the twiddles, whose products stay below p^2 < 2^57 under the gamma^j
-cap.  Every leaf product goes through matmul_mod: float64 BLAS over
-chunks of the inner dimension short enough that the same rule holds
-for every partial sum.  A large prime factor of L (Bluestein's case)
-stays a dense leaf.
+Rows enter as integers below p in magnitude.  While products of two
+residues are exact in float64 -- (p - 1)^2 < 2^53, p < 9.49e7, the one
+rule for float64 products here, _exact_terms -- the transform casts
+them to float64 once and back once on exit, and keeps them as float64
+residues in between: each leaf product and each twiddle product is
+reduced by x - floor(x / p) * p (_reduce), exact for 0 <= x < 2^53,
+since x / p is then off by less than 1 / p, so its floor is the
+quotient.  Past that bound the products take the exact integer route:
+rows reduced mod p once, Python integers in the leaves (matmul_mod),
+int64 for the twiddles, whose products stay below p^2 < 2^57 under the
+gamma^j cap.  matmul_mod chunks its inner dimension by the same rule
+and the same loop (_dot_mod), so each of its partial sums is exact too.
+A large prime factor of L (Bluestein's case) stays a dense leaf.
 Tables depend on p and their exponents alone, so _TABLES keeps them for
 the next call, never keyed on a context object: each leaf's table and
 each split's twiddles gamma^(e n1 k1), float64 residues ready for
@@ -86,38 +86,38 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _operand(x, p: int) -> tuple[np.ndarray, int]:
-    """x as an array and the largest magnitude of its entries: p - 1 without
-    a scan for a float64 array, which is taken as residues."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float64:
-        return x, p - 1
-    x = np.asarray(x, dtype=np.int64)
-    return x, int(np.abs(x).max(initial=0))
-
-
-def matmul_mod(a, b, p: int) -> np.ndarray:
-    """(a @ b) mod p, exact, for integer matrices and p < 2^63.
-
-    float64 BLAS over chunks of the inner dimension as long as
-    _exact_terms allows, each chunk's product reduced by _reduce and the
-    chunks summed mod p; Python integers, which cannot wrap, only when one
-    product alone may be inexact.  A float64 operand is taken as residues
-    (ntt's rows, _TABLES' tables), so its largest entry is p - 1 without
-    a scan.  With both operands float64 the result is float64 residues,
-    else int64.
-    """
-    residues = all(isinstance(x, np.ndarray) and x.dtype == np.float64 for x in (a, b))
-    (a, amax), (b, bmax) = _operand(a, p), _operand(b, p)
-    step = _exact_terms(amax, bmax, p)
-    if step < 1:
-        a, b = (x.astype(np.int64, copy=False).astype(object) for x in (a, b))
-        return ((a @ b) % p).astype(np.int64)
-    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int, step: int) -> np.ndarray:
+    """(a @ b) mod p as float64 residues, for float64 a and b whose products
+    stay exact summed over step terms (_exact_terms): BLAS over chunks of
+    the inner dimension of that length, each reduced by _reduce, the chunks
+    summed mod p."""
     out = _reduce(a[..., :step] @ b[:step], p)
     for lo in range(step, a.shape[-1], step):
         out += _reduce(a[..., lo:lo + step] @ b[lo:lo + step], p)
         out[out >= p] -= p  # the sum of two residues, below 2p
-    return out if residues else out.astype(np.int64)
+    return out
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """(a @ b) mod p, exact, for int64 matrices and p < 2^63.
+
+    _dot_mod while _exact_terms allows one product of the largest entries
+    at least; Python integers, which cannot wrap, otherwise.  A float64 b
+    is taken as one of _TABLES' power tables: its entries are residues,
+    so bmax is p - 1 without a scan and b is used as it is.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if isinstance(b, np.ndarray) and b.dtype == np.float64:
+        bmax = p - 1
+    else:
+        b = np.asarray(b, dtype=np.int64)
+        bmax = int(np.abs(b).max(initial=0))
+    step = _exact_terms(int(np.abs(a).max(initial=0)), bmax, p)
+    if step < 1:
+        b = b.astype(np.int64, copy=False).astype(object)
+        return ((a.astype(object) @ b) % p).astype(np.int64)
+    return _dot_mod(a.astype(np.float64), b.astype(np.float64, copy=False),
+                    p, step).astype(np.int64)
 
 
 def _mul_mod(x: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
@@ -257,11 +257,14 @@ def _leaf(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     ks = np.arange(n, dtype=np.int64)
     table = _TABLES.keep((p, "leaf", n, e),
                          lambda: power_block(ctx, ks, e * ks).astype(np.float64))
+    if rows.dtype == np.float64:
+        return _dot_mod(rows, table, p, _exact_terms(p - 1, p - 1, p))
     return matmul_mod(rows, table, p)
 
 
 def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
-    """ntt of rows of residues along the plan of their shape, in their dtype."""
+    """ntt along the plan of the rows' shape, in their dtype: float64 rows
+    of integers below p in magnitude, or int64 residues."""
     m, length = rows.shape
     split = _plan(length, m)[1]
     if split is None:
@@ -282,13 +285,14 @@ def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
 def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     """out[i, k] = sum_n rows[i, n] * gamma^(e n k) mod p, in [0, p), k < L.
 
-    rows: (m, L) integers with e * L divisible by p - 1; a 1-d row is
-    taken as one row.  The plan of the shape (m, L) is made once per
-    process; the one choice made per call is the leaf over used columns
-    only (power_sums) for rows so sparse that it costs less than the
-    plan, such as a monomial.  Otherwise the rows are reduced mod p once
-    and, while _exact_terms holds for two residues, cast to float64 once
-    and back to int64 once at the end; past it they stay int64.  Exact
+    rows: (m, L) integers below p in magnitude, with e * L divisible by
+    p - 1; a 1-d row is taken as one row.  The plan of the shape (m, L)
+    is made once per process; the one choice made per call is the leaf
+    over used columns only (power_sums) for rows so sparse that it costs
+    less than the plan, such as a monomial.  Otherwise, while
+    _exact_terms holds for two residues, the rows are cast to float64
+    once, which the first leaf product reduces, and back to int64 once at
+    the end; past it they are reduced mod p once and stay int64.  Exact
     while p^2 < 2^63: ctx.gamma_powers refuses larger p with TooLarge
     before any product is formed.
     """
@@ -304,7 +308,7 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
         return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
     if _exact_terms(p - 1, p - 1, p) < 1:
         return _run(ctx, rows % p, e)
-    return _run(ctx, (rows % p).astype(np.float64), e).astype(np.int64)
+    return _run(ctx, rows.astype(np.float64), e).astype(np.int64)
 
 
 def eval_on_squares(ctx, coeff_rows: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ NEG_INF = float("-inf")
 
 class Poly:
     """An element of F_p[x]/(x^r - 1), held as one read-only int64 array of
-    its r residues, copied from the coefficients it is built from."""
+    its r residues, reduced from the coefficients it is built from."""
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        array = np.array(coeffs, dtype=np.int64)
+        array = np.asarray(coeffs, dtype=np.int64) % ctx.p  # a copy of its own
         if array.ndim != 1 or len(array) != ctx.r:
             raise LengthMismatch(f"{array.size} coefficients but r = {ctx.r}")
         array.flags.writeable = False

@@ -130,12 +130,12 @@ def _sparse_rows(ctx, length, seed):
 @pytest.mark.parametrize("p", [3, 13, 23, 41, 257])
 def test_ntt_matches_naive_sums(p, splits):
     # r prime (23), a power of 2 (257) and mixed; e = +-2 on r columns,
-    # e = 1 and 3 on all p - 1; dense rows, rows of entries up to 2^62
-    # either side of zero, sparse rows and a monomial
+    # e = 1 and 3 on all p - 1; dense rows, rows of entries +-(p - 1),
+    # sparse rows and a monomial
     ctx = make_field_ctx(p)
     for length, e in ((ctx.r, 2), (ctx.r, -2), (p - 1, 1), (p - 1, 3)):
-        big = np.random.default_rng(p).integers(-(1 << 62), 1 << 62, (2, length))
-        for rows in [_dense_rows(ctx, length, p), big, *_sparse_rows(ctx, length, p)]:
+        edge = (p - 1) * (1 - 2 * np.random.default_rng(p).integers(0, 2, (2, length)))
+        for rows in [_dense_rows(ctx, length, p), edge, *_sparse_rows(ctx, length, p)]:
             want = _naive_power_sums(ctx, rows, e * np.arange(length))
             assert ntt(ctx, rows, e).tolist() == want, (p, length, e, rows)
 
