@@ -24,11 +24,11 @@ residues in between: each leaf product and each twiddle product is
 reduced by x - floor(x / p) * p (_reduce), exact for 0 <= x < 2^53,
 since x / p is then off by less than 1 / p, so its floor is the
 quotient.  Past that bound the products take the exact integer route:
-rows reduced mod p once, Python integers in the leaves (matmul_mod),
-int64 for the twiddles, whose products stay below p^2 < 2^57 under the
-gamma^j cap.  matmul_mod chunks its inner dimension by the same rule
-and the same loop (_dot_mod), so each of its partial sums is exact too.
-A large prime factor of L (Bluestein's case) stays a dense leaf.
+Python integers in the leaves (matmul_mod), int64 for the twiddles,
+whose products stay below p^2 < 2^57 under the gamma^j cap.
+matmul_mod chunks its inner dimension by the same rule and the same
+loop (_dot_mod), so each of its partial sums is exact too.  A large
+prime factor of L (Bluestein's case) stays a dense leaf.
 Tables depend on p and their exponents alone, so _TABLES keeps them for
 the next call, never keyed on a context object: each leaf's table and
 each split's twiddles gamma^(e n1 k1), float64 residues ready for
@@ -106,11 +106,11 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     is taken as one of _TABLES' power tables: its entries are residues,
     so bmax is p - 1 without a scan and b is used as it is.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.ascontiguousarray(a, dtype=np.int64)
     if isinstance(b, np.ndarray) and b.dtype == np.float64:
         bmax = p - 1
     else:
-        b = np.asarray(b, dtype=np.int64)
+        b = np.ascontiguousarray(b, dtype=np.int64)
         bmax = int(np.abs(b).max(initial=0))
     step = _exact_terms(int(np.abs(a).max(initial=0)), bmax, p)
     if step < 1:
@@ -263,8 +263,8 @@ def _leaf(ctx, rows: np.ndarray, e: int) -> np.ndarray:
 
 
 def _run(ctx, rows: np.ndarray, e: int) -> np.ndarray:
-    """ntt along the plan of the rows' shape, in their dtype: float64 rows
-    of integers below p in magnitude, or int64 residues."""
+    """ntt along the plan of the rows' shape, in their dtype, float64 or
+    int64; the entries are integers below p in magnitude."""
     m, length = rows.shape
     split = _plan(length, m)[1]
     if split is None:
@@ -292,7 +292,7 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     less than the plan, such as a monomial.  Otherwise, while
     _exact_terms holds for two residues, the rows are cast to float64
     once, which the first leaf product reduces, and back to int64 once at
-    the end; past it they are reduced mod p once and stay int64.  Exact
+    the end; past it they stay int64.  Exact
     while p^2 < 2^63: ctx.gamma_powers refuses larger p with TooLarge
     before any product is formed.
     """
@@ -307,7 +307,7 @@ def ntt(ctx, rows: np.ndarray, e: int) -> np.ndarray:
     if used < length and (split is None or used * length * (_TABLE_COST + m) <= cost):
         return power_sums(ctx, rows, e * np.arange(length, dtype=np.int64))
     if _exact_terms(p - 1, p - 1, p) < 1:
-        return _run(ctx, rows % p, e)
+        return _run(ctx, rows, e)
     return _run(ctx, rows.astype(np.float64), e).astype(np.int64)
 
 
