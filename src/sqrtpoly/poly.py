@@ -18,7 +18,7 @@ class Poly:
     its r residues, reduced from the coefficients it is built from."""
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        array = np.asarray(coeffs, dtype=np.int64) % ctx.p  # a copy of its own
+        array = _residues(coeffs, ctx.p)
         if array.ndim != 1 or len(array) != ctx.r:
             raise LengthMismatch(f"{array.size} coefficients but r = {ctx.r}")
         array.flags.writeable = False
@@ -81,8 +81,8 @@ class Poly:
         return self.coeffs
 
 
-def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
-    """Build a Poly from any coefficient list of length <= r (zero padded).
+def _residues(coeffs, p: int) -> np.ndarray:
+    """coeffs mod p as an int64 array of its own.
 
     Machine integers are reduced as one int64 array; integers of any size
     (JSON input) make an object array, reduced exactly as Python ints.
@@ -91,10 +91,16 @@ def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
         c = np.asarray(coeffs, dtype=np.int64)
     except OverflowError:
         c = np.asarray(coeffs, dtype=object)
+    return (c % p).astype(np.int64, copy=False)
+
+
+def from_coeffs(ctx: FieldCtx, coeffs) -> Poly:
+    """Build a Poly from any coefficient list of length <= r (zero padded)."""
+    c = _residues(coeffs, ctx.p)
     if len(c) > ctx.r:
         raise DegreeTooLarge(f"{len(c)} coefficients but r = {ctx.r}")
     out = np.zeros((1, ctx.r), dtype=np.int64)
-    out[0, :len(c)] = c % ctx.p
+    out[0, :len(c)] = c
     return Poly._adopt(ctx, out)[0]
 
 
