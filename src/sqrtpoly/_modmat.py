@@ -17,17 +17,12 @@ columns some row uses costs less than the plan, such as a monomial:
 they go to power_sums, sums sum_n rows[i, n] * gamma^(n * exps[k]) from
 such a table (power_block), a block of exps at a time.
 Rows enter as integers below p in magnitude.  While products of two
-residues are exact in float64 -- (p - 1)^2 < 2^53, p < 9.49e7, the one
-rule for float64 products here, _exact_terms -- the transform casts
-them to float64 once and back once on exit, and keeps them as float64
-residues in between: each leaf product and each twiddle product is
-reduced by x - floor(x / p) * p (_reduce), exact for 0 <= x < 2^53,
-since x / p is then off by less than 1 / p, so its floor is the
-quotient.  Past that bound the products take the exact integer route:
-Python integers in the leaves (matmul_mod), int64 for the twiddles,
-whose products stay below p^2 < 2^57 under the gamma^j cap.
-matmul_mod chunks its inner dimension by the same rule and the same
-loop (_dot_mod), so each of its partial sums is exact too.  A large
+residues are exact in float64 -- (p - 1)^2 < 2^53, p < 9.49e7, by
+_exact_terms, the one such rule, which also sets matmul_mod's chunks --
+ntt casts them to float64 once and back once on exit, and reduces each
+leaf and twiddle product by x - floor(x / p) * p (_reduce).  Past that
+bound the products take the exact integer route: Python integers in
+the leaves, int64 twiddles (p^2 < 2^57 under the gamma^j cap).  A large
 prime factor of L (Bluestein's case) stays a dense leaf.
 Tables depend on p and their exponents alone, so _TABLES keeps them for
 the next call, never keyed on a context object: each leaf's table and
